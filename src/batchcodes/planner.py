@@ -100,7 +100,11 @@ class QueryPlanner:
 
     Candidate recovery sets and packing numbers are enumerated per
     symbol on demand and reused across queries, so sweeping all queries
-    of a given size shares the expensive enumeration work.
+    of a given size shares the expensive enumeration work. Each
+    candidate list also gets conflict bitsets over its candidate
+    indices (see `_conflicts`), built on first use and dropped whenever
+    the list is enumerated again, so the plan search tests disjointness
+    with a few integer operations per node instead of a scan.
     """
 
     def __init__(self, code: LinearCode, r: int | None = None):
@@ -110,6 +114,8 @@ class QueryPlanner:
         self._r = r
         self._sets: dict[int, tuple[RecoverySet, ...]] = {}
         self._masks: dict[int, list[int]] = {}
+        # symbol -> (full, meets, nibbles, smallest); see _conflicts.
+        self._tables: dict[int, tuple[int, list[int], list[list[int]], int]] = {}
         # Cap the enumeration stopped at; None once it is complete.
         self._cap: dict[int, int | None] = {}
         self._packing: dict[int, int] = {}
@@ -189,6 +195,56 @@ class QueryPlanner:
         self._masks[symbol] = [rs.column_mask() for rs in enum.sets]
         self._cap[symbol] = cap if enum.truncated else None
         self._packing.pop(symbol, None)
+        self._tables.pop(symbol, None)
+
+    def _conflicts(
+        self, symbol: int
+    ) -> tuple[int, list[int], list[list[int]], int]:
+        """Conflict bitsets for the current candidate list of `symbol`:
+        (full, meets, nibbles, smallest).
+
+        Bit i of each bitset stands for candidate i, and `full` holds
+        them all. `meets[i]` holds the candidates sharing a column with
+        candidate i (i included). `nibbles[b][v]` holds the candidates
+        touching a column of 4b+1..4b+4 selected by the 4-bit value v,
+        so the candidates clashing with a used-column mask take one
+        lookup per 4 columns. `smallest` is the fewest columns any
+        candidate has.
+        """
+        table = self._tables.get(symbol)
+        if table is None:
+            masks = self._masks[symbol]
+            touch = [0] * (4 * ((self._code.n + 3) // 4))
+            for i, mask in enumerate(masks):
+                bit = 1 << i
+                while mask:
+                    low = mask & -mask
+                    touch[low.bit_length() - 1] |= bit
+                    mask ^= low
+            meets = []
+            for mask in masks:
+                hit = 0
+                while mask:
+                    low = mask & -mask
+                    hit |= touch[low.bit_length() - 1]
+                    mask ^= low
+                meets.append(hit)
+            nibbles = []
+            for base in range(0, len(touch), 4):
+                quad = touch[base : base + 4]
+                nib = [0] * 16
+                for v in range(1, 16):
+                    low = v & -v
+                    nib[v] = nib[v ^ low] | quad[low.bit_length() - 1]
+                nibbles.append(nib)
+            table = (
+                (1 << len(masks)) - 1,
+                meets,
+                nibbles,
+                min(m.bit_count() for m in masks),
+            )
+            self._tables[symbol] = table
+        return table
 
     def _search(self, groups: Sequence[tuple[int, int]]) -> dict[int, list[int]] | None:
         """Backtracking assignment of disjoint candidate sets to groups.
@@ -196,6 +252,16 @@ class QueryPlanner:
         Groups with the fewest candidates are placed first; within a
         group, copies take candidates at strictly increasing positions,
         so the first plan found is the lexicographic depth-first one.
+        A node is cut when the free columns cannot hold the sets still
+        to place, or when fewer candidates remain open than copies.
+
+        The open candidates of a group are a bitset `avail`: on entry,
+        the candidates touching no used column; after a pick i, what
+        was open and misses candidate i (`avail & ~meets[i]`), less the
+        positions up to i. The walk over its set bits in increasing
+        order visits the same nodes in the same order as a scan of the
+        candidate list would, so plans and verdicts do not depend on
+        the representation.
         """
         infos = []
         for sym, cnt in sorted(
@@ -204,11 +270,11 @@ class QueryPlanner:
             masks = self._masks[sym]
             if len(masks) < cnt:
                 return None
-            infos.append((sym, cnt, masks, min(m.bit_count() for m in masks)))
+            infos.append((sym, cnt, masks, *self._conflicts(sym)))
 
         suffix_need = [0] * (len(infos) + 1)
         for i in range(len(infos) - 1, -1, -1):
-            _, cnt, _, smallest = infos[i]
+            _, cnt, _, _, _, _, smallest = infos[i]
             suffix_need[i] = suffix_need[i + 1] + cnt * smallest
 
         n = self._code.n
@@ -217,33 +283,42 @@ class QueryPlanner:
         def place(gi: int, used: int) -> bool:
             if gi == len(infos):
                 return True
-            sym, cnt, masks, smallest = infos[gi]
+            sym, cnt, masks, full, meets, nibbles, smallest = infos[gi]
+            need_after = suffix_need[gi + 1]
+            count = len(masks)
             picks: list[int] = []
 
-            def pick(start: int, left: int, used_now: int) -> bool:
+            def pick(left: int, used_now: int, avail: int) -> bool:
                 if left == 0:
                     if place(gi + 1, used_now):
                         chosen[sym] = list(picks)
                         return True
                     return False
-                free = n - used_now.bit_count()
-                if free < left * smallest + suffix_need[gi + 1]:
+                if n - used_now.bit_count() < left * smallest + need_after:
                     return False
-                open_slots = sum(
-                    1 for i in range(start, len(masks)) if not masks[i] & used_now
-                )
-                if open_slots < left:
+                if avail.bit_count() < left:
                     return False
-                for i in range(start, len(masks) - left + 1):
-                    if masks[i] & used_now:
-                        continue
+                last = count - left
+                while avail:
+                    low = avail & -avail
+                    i = low.bit_length() - 1
+                    if i > last:
+                        return False
+                    avail ^= low
                     picks.append(i)
-                    if pick(i + 1, left - 1, used_now | masks[i]):
+                    if pick(left - 1, used_now | masks[i], avail & ~meets[i]):
                         return True
                     picks.pop()
                 return False
 
-            return pick(0, cnt, used)
+            clash = 0
+            rest = used
+            for nib in nibbles:
+                if not rest:
+                    break
+                clash |= nib[rest & 15]
+                rest >>= 4
+            return pick(cnt, used, full & ~clash)
 
         if place(0, 0):
             return chosen

@@ -129,7 +129,7 @@ def _minimal_sets(
         if len(path) == max_size:
             return False
         for idx in range(start, m):
-            if not _span_member(suffix_span[idx], residual):
+            if _span_reduce(suffix_span[idx], residual) != 0:
                 # Suffix spans only shrink with idx: no completion remains.
                 return False
             j, word = columns[idx]
@@ -178,10 +178,6 @@ def _span_reduce(span: dict[int, int], word: int) -> int:
             return cur
         cur ^= span[low]
     return 0
-
-
-def _span_member(span: dict[int, int], word: int) -> bool:
-    return _span_reduce(span, word) == 0
 
 
 def max_disjoint_packing(

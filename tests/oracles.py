@@ -4,13 +4,17 @@ Everything here favors obviousness over speed and shares no code with
 the package internals: subset sums come from a full 2^n table, planning
 searches all recovery sets (not only minimal ones), packing is plain
 recursion, and the distance oracle evaluates every dot product directly.
+`reference_plan` is the one search over minimal sets only: it follows
+the planner's documented search order, without any of its pruning, so
+that plans can be compared exactly.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from collections import Counter
+from itertools import combinations, product
 
-from batchcodes import LinearCode
+from batchcodes import BitVector, LinearCode, RecoverySet, ServingPlan
 
 
 def subset_sum_table(code: LinearCode) -> list[int]:
@@ -101,6 +105,59 @@ def brute_plan_exists(
         return False
 
     return place(0, 0)
+
+
+def reference_plan(
+    code: LinearCode,
+    indices: tuple[int, ...],
+    r: int | None = None,
+    sums: list[int] | None = None,
+) -> ServingPlan | None:
+    """The first plan in the planner's documented order, by an unpruned
+    backtrack over brute-force minimal recovery sets.
+
+    Groups of equal symbols are placed in order of (candidate count,
+    symbol); the copies of a group take candidates at strictly
+    increasing positions of the lexicographic candidate list, tried in
+    lexicographic order of those position tuples. Copies of a symbol
+    serve its query positions in ascending order.
+    """
+    if sums is None:
+        sums = subset_sum_table(code)
+    counts = Counter(indices)
+    cands = {
+        s: brute_minimal_recovery_sets(code, 1 << (s - 1), frozenset(), r, sums)
+        for s in counts
+    }
+    order = sorted(counts, key=lambda s: (len(cands[s]), s))
+    chosen: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+    def place(gi: int, used: int) -> bool:
+        if gi == len(order):
+            return True
+        s = order[gi]
+        for combo in combinations(cands[s], counts[s]):
+            union = used
+            for cols in combo:
+                mask = sum(1 << (j - 1) for j in cols)
+                if union & mask:
+                    break
+                union |= mask
+            else:
+                if place(gi + 1, union):
+                    chosen[s] = combo
+                    return True
+        return False
+
+    if not place(0, 0):
+        return None
+    taken = Counter()
+    assignments = []
+    for pos, s in enumerate(sorted(indices), 1):
+        cols = chosen[s][taken[s]]
+        taken[s] += 1
+        assignments.append((pos, RecoverySet(BitVector.unit(code.k, s), cols)))
+    return ServingPlan(tuple(assignments))
 
 
 def brute_max_packing(masks: list[int]) -> int:

@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import batchcodes.planner as planner_module
 from batchcodes import (
+    BitMatrix,
     BitVector,
     InvalidQueryError,
     LinearCode,
@@ -15,12 +18,13 @@ from batchcodes import (
     ServingPlan,
     is_servable_all,
     plan_is_valid,
+    rank,
     serve_query,
     simplex,
     subcube,
 )
 from conftest import random_systematic
-from oracles import brute_plan_exists, subset_sum_table
+from oracles import brute_plan_exists, reference_plan, subset_sum_table
 
 # Column order used in worked examples elsewhere: identity first, then
 # the remaining nonzero vectors ordered as (110), (101), (011), (111).
@@ -109,6 +113,8 @@ class TestServe:
                         assert (plan is not None) == want, (name, r, combo)
                         if plan is not None:
                             assert plan_is_valid(code, q, plan, r), (name, r, combo)
+                        ref = reference_plan(code, combo, r, sums)
+                        assert str(plan) == str(ref), (name, r, combo)
 
     def test_matches_brute_planner_on_random_codes(self):
         rng = random.Random(31)
@@ -141,11 +147,77 @@ class TestServe:
         assert str(plan) == want
         assert plan_is_valid(code, Query((1, 1)), plan)
 
+    @pytest.mark.parametrize("initial_cap", [1, 2])
+    def test_escalation_rebuilds_conflict_tables(self, monkeypatch, initial_cap):
+        # simplex(4) has 92 candidates per symbol, so a tiny first cap
+        # re-enumerates every symbol many times; a conflict table left
+        # over from a shorter list would change or lose plans.
+        code = simplex(4)
+        rng = random.Random(5)
+        queries = [
+            Query(tuple(rng.randint(1, 4) for _ in range(t)))
+            for t in (6, 7, 8)
+            for _ in range(4)
+        ]
+        want = [str(QueryPlanner(code).serve(q)) for q in queries]
+        monkeypatch.setattr(planner_module, "_INITIAL_CAP", initial_cap)
+        planner = QueryPlanner(code)
+        got = [planner.serve(q) for q in queries]
+        assert [str(plan) for plan in got] == want
+        for q, plan in zip(queries, got):
+            assert plan_is_valid(code, q, plan)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             QueryPlanner(subcube(2, 1), r=0)
         with pytest.raises(ValueError):
             QueryPlanner(subcube(2, 1)).servable_all(0)
+
+
+@st.composite
+def small_codes(draw):
+    """Full-rank generator matrices with k <= 4 and n <= 9, not
+    necessarily systematic; zero and repeated columns are allowed."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 9))
+    columns = draw(
+        st.lists(st.integers(0, (1 << k) - 1), min_size=n, max_size=n)
+    )
+    rows = tuple(
+        sum(((col >> i) & 1) << j for j, col in enumerate(columns))
+        for i in range(k)
+    )
+    matrix = BitMatrix(n, rows)
+    assume(rank(matrix) == k)
+    return LinearCode(matrix)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    code=small_codes(),
+    r=st.sampled_from([None, 1, 2]),
+    data=st.data(),
+)
+def test_plan_is_reference_plan(code, r, data):
+    """The pruned bitset search returns the first plan of the unpruned
+    lexicographic backtrack, and None exactly when it does."""
+    symbol = st.integers(1, code.k)
+    queries = data.draw(
+        st.lists(st.lists(symbol, min_size=1, max_size=4), min_size=1, max_size=4)
+    )
+    sums = subset_sum_table(code)
+    planner = QueryPlanner(code, r)
+    for indices in queries:
+        q = Query(tuple(indices))
+        plan = planner.serve(q)
+        assert str(plan) == str(reference_plan(code, q.indices, r, sums))
+        assert plan is None or plan_is_valid(code, q, plan, r)
+    # The reference orders groups by complete candidate counts, which is
+    # the planner's order only when no list was cut at the first cap.
+    assert all(
+        len(planner.candidates(s)) <= planner_module._INITIAL_CAP
+        for s in range(1, code.k + 1)
+    )
 
 
 class TestServableAll:
