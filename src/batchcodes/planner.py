@@ -141,7 +141,15 @@ class QueryPlanner:
         return self._packing[symbol]
 
     def serve(self, query: Query | Iterable[int]) -> ServingPlan | None:
-        """A serving plan for `query`, or None when provably none exists."""
+        """A serving plan for `query`, or None when provably none exists.
+
+        Which plan is returned depends on how far the symbols' candidate
+        lists have been enumerated: groups are placed in order of their
+        current candidate counts, and a fresh list stops at the first
+        cap. So a planner warmed by `candidates`, `max_packing` or
+        earlier queries may return a different valid plan than a fresh
+        one. Only the verdict is independent of that history.
+        """
         q = query if isinstance(query, Query) else Query(tuple(query))
         if q.indices[-1] > self._code.k:
             raise InvalidQueryError(

@@ -6,6 +6,12 @@ requires the t-fold repeated queries to be servable, which reduces to a
 disjoint-packing number per symbol. A uniform query (i, i, ..., i) is
 servable exactly when e_i admits t pairwise-disjoint recovery sets, so
 batch_t never exceeds pir_t and the batch sweep can stop there.
+
+Every target is enumerated at most once per analysis. A symbol's
+smallest recovery-set size comes from deepening the size cap from 1
+(`_min_size`), so its sets are then listed only up to the cap the
+profile needs. The information-symbol entries of `profile` are read off
+the query planner that already serves its batch and PIR sweeps.
 """
 
 from __future__ import annotations
@@ -105,24 +111,43 @@ def _batch(planner: QueryPlanner) -> int:
     return t
 
 
+def _min_size(
+    code: LinearCode, word: int, excluded: frozenset[int]
+) -> int | None:
+    """Smallest minimal recovery set for a nonzero target, by deepening
+    the size cap from 1: the first cap with a set is the answer. None
+    when no set of up to k columns exists, i.e. the target lies outside
+    the span of the allowed columns."""
+    target = BitVector(code.k, word)
+    for size in range(1, code.k + 1):
+        enum = enumerate_recovery_sets(
+            code, target, excluded=excluded, max_size=size, max_count=1
+        )
+        if enum.sets:
+            return size
+    return None
+
+
 def _symbol_entry(
     code: LinearCode,
     index: int,
     target_word: int,
     excluded: frozenset[int],
     cap: int | None,
+    min_size: int | None,
 ) -> SymbolRecovery:
+    """Entry for a target whose smallest set size is already known:
+    one enumeration up to `cap`, and none when no set fits under it."""
     if target_word == 0:
         return SymbolRecovery(index, 0, None)
-    enum = enumerate_recovery_sets(
-        code, BitVector(code.k, target_word), excluded=excluded
-    )
-    if not enum.sets:
+    if min_size is None:
         return SymbolRecovery(index, None, 0)
-    min_size = min(rs.size for rs in enum.sets)
-    masks = [
-        rs.column_mask() for rs in enum.sets if cap is None or rs.size <= cap
-    ]
+    if cap is not None and min_size > cap:
+        return SymbolRecovery(index, min_size, 0)
+    enum = enumerate_recovery_sets(
+        code, BitVector(code.k, target_word), excluded=excluded, max_size=cap
+    )
+    masks = [rs.column_mask() for rs in enum.sets]
     return SymbolRecovery(index, min_size, max_disjoint_packing(masks))
 
 
@@ -146,28 +171,24 @@ def lrc_profile(code: LinearCode, r: int | None = None) -> LrcProfile:
     With r=None the availability cap defaults to the code's own
     locality, pairing the two parameters the way a locality/availability
     claim is normally stated; pass an explicit r to cap differently.
+    Each symbol's smallest set size comes from deepening probes, and its
+    sets are enumerated once, up to the cap, for the packing number.
     """
+    if r is not None and r < 1:
+        raise ValueError(f"size cap r must be >= 1, got {r}")
     targets = [
         (j, w, frozenset((j,))) for j, w in enumerate(code.column_words, 1)
     ]
-    if r is None:
-        # First pass unbounded to learn the locality, then cap there.
-        sizes = []
-        for j, w, excl in targets:
-            if w == 0:
-                continue
-            enum = enumerate_recovery_sets(code, BitVector(code.k, w), excluded=excl)
-            sizes.append(min((rs.size for rs in enum.sets), default=None))
-        if any(s is None for s in sizes):
-            cap = None
-        else:
-            cap = max(sizes) if sizes else 0
-    else:
-        if r < 1:
-            raise ValueError(f"size cap r must be >= 1, got {r}")
+    sizes = [0 if w == 0 else _min_size(code, w, excl) for _, w, excl in targets]
+    if r is not None:
         cap = r
+    elif None in sizes:
+        cap = None
+    else:
+        cap = max(sizes, default=0)
     entries = [
-        _symbol_entry(code, j, w, excl, cap) for j, w, excl in targets
+        _symbol_entry(code, j, w, excl, cap, size)
+        for (j, w, excl), size in zip(targets, sizes)
     ]
     return _aggregate(cap, entries)
 
@@ -181,6 +202,11 @@ def info_lrc_profile(
     column itself counts as a size-1 recovery set. include_self=False
     removes column sigma(i) from play, the strict repair reading. r=None
     leaves set sizes unbounded.
+
+    With the identity columns in play, the entries are exactly what a
+    `QueryPlanner(code, r)` holds: its candidate lists and packing
+    numbers. include_self=False probes and enumerates each e_i the way
+    `lrc_profile` does.
     """
     if r is not None and r < 1:
         raise ValueError(f"size cap r must be >= 1, got {r}")
@@ -189,13 +215,29 @@ def info_lrc_profile(
         raise NotSystematicError(
             "info-symbol profile requires a systematic code"
         )
+    if include_self:
+        return _info_profile(QueryPlanner(code, r))
     entries = []
     for i in range(1, code.k + 1):
-        excluded = frozenset() if include_self else frozenset((colmap[i],))
-        entries.append(
-            _symbol_entry(code, i, 1 << (i - 1), excluded, r)
-        )
+        word = 1 << (i - 1)
+        excluded = frozenset((colmap[i],))
+        size = _min_size(code, word, excluded)
+        entries.append(_symbol_entry(code, i, word, excluded, r, size))
     return _aggregate(r, entries)
+
+
+def _info_profile(planner: QueryPlanner) -> LrcProfile:
+    """Info-symbol profile (identity columns in play) of a systematic
+    code at the planner's cap, read off the planner's candidates."""
+    entries = [
+        SymbolRecovery(
+            i,
+            min(rs.size for rs in planner.candidates(i)),
+            planner.max_packing(i),
+        )
+        for i in range(1, planner.code.k + 1)
+    ]
+    return _aggregate(planner.r, entries)
 
 
 def corollary_check(
@@ -228,9 +270,7 @@ def profile(code: LinearCode, r_cap: int | None = None) -> CodeProfile:
     planner = QueryPlanner(code, r_cap)
     pir = _pir(planner)
     batch = _batch(planner)
-    info = (
-        info_lrc_profile(code, r_cap) if code.is_systematic else None
-    )
+    info = _info_profile(planner) if code.is_systematic else None
     return CodeProfile(
         n=code.n,
         k=code.k,

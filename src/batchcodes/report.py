@@ -52,6 +52,9 @@ def build_report(
 ) -> AnalysisReport:
     prof = profile(code, r_cap)
     verdicts = tuple(evaluate_all(prof))
+    # A fresh planner, not the one inside `profile`: a planner whose
+    # lists are fully enumerated may pick a different valid plan (see
+    # QueryPlanner.serve), and the reported plans are those of a cold one.
     planner = QueryPlanner(code, r_cap)
     outcomes = tuple(QueryOutcome(q, planner.serve(q)) for q in queries)
     return AnalysisReport(source, prof, verdicts, outcomes)

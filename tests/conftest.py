@@ -1,10 +1,13 @@
-"""Shared fixtures: the named-code corpus and a random code generator."""
+"""Shared fixtures: the named-code corpus, a random code generator, and
+a hypothesis strategy for small generator matrices."""
 
 from __future__ import annotations
 
 import random
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from batchcodes import (
     BitMatrix,
@@ -12,6 +15,7 @@ from batchcodes import (
     blockwise_subcube_allones,
     identity,
     paired_parity,
+    rank,
     simplex,
     subcube,
     triplicated_parity,
@@ -59,3 +63,26 @@ def random_systematic(rng: random.Random, k_max: int = 5, n_max: int = 10) -> Li
             word |= rng.getrandbits(1) << j
         words.append(word)
     return LinearCode(BitMatrix(n, tuple(words)))
+
+
+def column_matrix(k: int, columns: list[int]) -> BitMatrix:
+    """k x n matrix whose column j has the bits of columns[j - 1]."""
+    rows = tuple(
+        sum(((col >> i) & 1) << j for j, col in enumerate(columns))
+        for i in range(k)
+    )
+    return BitMatrix(len(columns), rows)
+
+
+@st.composite
+def small_codes(draw):
+    """Full-rank generator matrices with k <= 4 and n <= 9, not
+    necessarily systematic; zero and repeated columns are allowed."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 9))
+    columns = draw(
+        st.lists(st.integers(0, (1 << k) - 1), min_size=n, max_size=n)
+    )
+    matrix = column_matrix(k, columns)
+    assume(rank(matrix) == k)
+    return LinearCode(matrix)

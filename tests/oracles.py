@@ -6,7 +6,9 @@ searches all recovery sets (not only minimal ones), packing is plain
 recursion, and the distance oracle evaluates every dot product directly.
 `reference_plan` is the one search over minimal sets only: it follows
 the planner's documented search order, without any of its pruning, so
-that plans can be compared exactly.
+that plans can be compared exactly. `reference_lrc_profile` rebuilds the
+profiler's locality and availability from the brute-force minimal sets
+and packing alone.
 """
 
 from __future__ import annotations
@@ -172,6 +174,44 @@ def brute_max_packing(masks: list[int]) -> int:
         return best
 
     return go(0, 0)
+
+
+def reference_lrc_profile(
+    code: LinearCode,
+    targets: list[tuple[int, int, frozenset[int]]],
+    cap: int | None,
+    sums: list[int] | None = None,
+) -> tuple:
+    """Repair profile of `targets`, given as (index, word, excluded)
+    triples, at set-size cap `cap` (None: unbounded).
+
+    Returns (cap, locality, availability, symbols) with one
+    (index, min_size, packing) per target. min_size is the size of the
+    smallest minimal recovery set at any size, None when there is none;
+    packing is the most pairwise-disjoint minimal sets of size at most
+    cap. A zero target is trivially recoverable: (index, 0, None).
+    locality is the largest min_size, None when any is None;
+    availability is the smallest packing that is not None, 0 when none
+    is.
+    """
+    symbols = []
+    for index, word, excluded in targets:
+        if word == 0:
+            symbols.append((index, 0, None))
+            continue
+        sets = brute_minimal_recovery_sets(code, word, excluded, None, sums)
+        min_size = min((len(s) for s in sets), default=None)
+        masks = [
+            sum(1 << (j - 1) for j in s)
+            for s in sets
+            if cap is None or len(s) <= cap
+        ]
+        symbols.append((index, min_size, brute_max_packing(masks)))
+    sizes = [s[1] for s in symbols]
+    locality = None if None in sizes else max(sizes, default=0)
+    packings = [s[2] for s in symbols if s[2] is not None]
+    availability = min(packings, default=0)
+    return cap, locality, availability, tuple(symbols)
 
 
 def brute_min_distance(code: LinearCode) -> int:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from batchcodes import format_matrix, simplex, subcube
+from batchcodes import Query, QueryPlanner, format_matrix, simplex, subcube
 from batchcodes.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -84,6 +84,31 @@ class TestAnalyze:
         assert code == 0
         golden = json.loads((GOLDEN / "simplex3_r2.json").read_text())
         assert json.loads(out) == golden
+
+    def test_plans_come_from_a_fresh_planner(self, capsys):
+        simplex4 = simplex(4)
+        query = Query.parse("3,3,4,4")
+        code, out, err = run(
+            capsys,
+            ["analyze", "-", "--query", str(query), "--json"],
+            stdin_text=format_matrix(simplex4.generator),
+        )
+        assert code == 0
+        (plan,) = json.loads(out)["plans"]
+        got = "; ".join(
+            f"T{a['position']}={{{','.join(map(str, a['columns']))}}}"
+            for a in plan["assignments"]
+        )
+        want = str(QueryPlanner(simplex4).serve(query))
+        assert got == want == "T1={1,2,6,11}; T2={3}; T3={4}; T4={5,7,9,13}"
+        # The profile's planner has every list fully enumerated, which
+        # changes the search order and so the plan.
+        warm = QueryPlanner(simplex4)
+        for s in range(1, simplex4.k + 1):
+            warm.max_packing(s)
+        assert str(warm.serve(query)) == (
+            "T1={1,2,4,15}; T2={3}; T3={5,6,8}; T4={7,9,14}"
+        )
 
     def test_queries_rendered(self, capsys, subcube_file):
         code, out, err = run(

@@ -3,12 +3,11 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import batchcodes.planner as planner_module
 from batchcodes import (
-    BitMatrix,
     BitVector,
     InvalidQueryError,
     LinearCode,
@@ -18,12 +17,11 @@ from batchcodes import (
     ServingPlan,
     is_servable_all,
     plan_is_valid,
-    rank,
     serve_query,
     simplex,
     subcube,
 )
-from conftest import random_systematic
+from conftest import random_systematic, small_codes
 from oracles import brute_plan_exists, reference_plan, subset_sum_table
 
 # Column order used in worked examples elsewhere: identity first, then
@@ -172,24 +170,6 @@ class TestServe:
             QueryPlanner(subcube(2, 1), r=0)
         with pytest.raises(ValueError):
             QueryPlanner(subcube(2, 1)).servable_all(0)
-
-
-@st.composite
-def small_codes(draw):
-    """Full-rank generator matrices with k <= 4 and n <= 9, not
-    necessarily systematic; zero and repeated columns are allowed."""
-    k = draw(st.integers(1, 4))
-    n = draw(st.integers(k, 9))
-    columns = draw(
-        st.lists(st.integers(0, (1 << k) - 1), min_size=n, max_size=n)
-    )
-    rows = tuple(
-        sum(((col >> i) & 1) << j for j, col in enumerate(columns))
-        for i in range(k)
-    )
-    matrix = BitMatrix(n, rows)
-    assume(rank(matrix) == k)
-    return LinearCode(matrix)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

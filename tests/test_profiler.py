@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from batchcodes import (
     BitMatrix,
@@ -21,8 +23,13 @@ from batchcodes import (
     subcube,
     triplicated_parity,
 )
-from conftest import random_systematic
-from oracles import brute_max_packing, brute_minimal_recovery_sets
+from conftest import column_matrix, random_systematic, small_codes
+from oracles import (
+    brute_max_packing,
+    brute_minimal_recovery_sets,
+    reference_lrc_profile,
+    subset_sum_table,
+)
 
 # name -> (n, k, d, batch_t, pir_t, systematic), all at unbounded r.
 CORPUS_PARAMETERS = {
@@ -215,3 +222,49 @@ def test_size_cap_never_raises_parameters():
         code = random_systematic(rng, k_max=4, n_max=8)
         assert batch_t(code, 2) <= batch_t(code)
         assert pir_t(code, 2) <= pir_t(code)
+
+
+def _code(k: int, columns: list[int]) -> LinearCode:
+    return LinearCode(column_matrix(k, columns))
+
+
+def _as_tuple(lp):
+    symbols = tuple((s.index, s.min_size, s.packing) for s in lp.symbols)
+    return lp.cap, lp.locality, lp.availability, symbols
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(code=small_codes(), r=st.sampled_from([None, 1, 2, 3]))
+# Zero and duplicate columns; k=1; non-systematic; and column 1 outside
+# the span of the others, so that the locality is None.
+@example(code=_code(2, [1, 0, 1, 2, 3, 3]), r=None)
+@example(code=_code(1, [1, 1, 0, 1]), r=1)
+@example(code=_code(3, [3, 5, 6, 7, 7]), r=2)
+@example(code=_code(2, [1, 2, 2]), r=None)
+def test_profiles_match_reference(code, r):
+    """lrc_profile, info_lrc_profile (both readings) and profile agree
+    with the brute-force reference profile."""
+    sums = subset_sum_table(code)
+    every = [(j, w, frozenset((j,))) for j, w in enumerate(code.column_words, 1)]
+    units = [(i, 1 << (i - 1), frozenset()) for i in range(1, code.k + 1)]
+    # With r=None the all-symbol cap is the locality, which no cap changes.
+    locality = reference_lrc_profile(code, every, None, sums)[1]
+    all_symbol = reference_lrc_profile(code, every, locality, sums)
+    want = all_symbol if r is None else reference_lrc_profile(code, every, r, sums)
+    assert _as_tuple(lrc_profile(code, r)) == want
+
+    info = reference_lrc_profile(code, units, r, sums)
+    prof = profile(code, r)
+    assert _as_tuple(prof.all_symbol) == all_symbol
+    assert prof.pir_t == info[2]
+    if not code.is_systematic:
+        assert prof.info_symbol is None
+        with pytest.raises(NotSystematicError):
+            info_lrc_profile(code, r)
+        return
+    assert _as_tuple(prof.info_symbol) == info
+    assert _as_tuple(info_lrc_profile(code, r)) == info
+    colmap = code.identity_column_map()
+    strict = [(i, w, frozenset((colmap[i],))) for i, w, _ in units]
+    want = reference_lrc_profile(code, strict, r, sums)
+    assert _as_tuple(info_lrc_profile(code, r, include_self=False)) == want
