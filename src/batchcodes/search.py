@@ -7,6 +7,14 @@ values (zero included, so the candidate space is exactly the stated
 matrix family) in increasing big-endian integer value, and tuples of
 columns are nondecreasing, so the first passing matrix is a canonical,
 reproducible witness.
+
+A code that serves t copies of every symbol has minimum distance
+d >= t: if e_i has t disjoint recovery sets, every codeword mG with
+m_i = 1 has odd, so nonzero, weight on each of them. This holds in both
+modes and under any size cap, so candidates with a codeword lighter
+than t are rejected from their parity values alone, before any code or
+planner is built. They still count in `nodes_explored`, so the witness
+and the count are those of the unfiltered sweep.
 """
 
 from __future__ import annotations
@@ -67,6 +75,11 @@ def min_length(
     Sweeps n = k, k+1, ..., n_max (default k + max_slack). The guards
     max_k and max_slack bound the doubly exponential candidate space;
     raise them deliberately or not at all.
+
+    A candidate with minimum distance below t cannot pass (each codeword
+    with m_i = 1 meets every recovery set of e_i in an odd number of
+    columns), so it is skipped before its code is built; skipped
+    candidates still count in `nodes_explored`.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -87,14 +100,51 @@ def min_length(
             f"n_max - k = {n_max - k} exceeds the search guard max_slack = {max_slack}"
         )
 
+    start, parity_bits, high = _distance_filter(k, t, n_max)
     nodes = 0
     for n in range(k, n_max + 1):
-        for combo in combinations_with_replacement(range(1 << k), n - k):
+        # Both tuples run in the same order, so bits[j] is the entry of
+        # parity_bits for combo[j].
+        for combo, bits in zip(
+            combinations_with_replacement(range(1 << k), n - k),
+            combinations_with_replacement(parity_bits, n - k),
+        ):
             nodes += 1
+            if sum(bits, start) & high != high:
+                continue
             code = _systematic_candidate(k, combo)
             if _passes(code, t, mode, r_cap):
                 return SearchResult(k, t, mode, r_cap, n_max, n, code, nodes)
     return SearchResult(k, t, mode, r_cap, n_max, None, None, nodes)
+
+
+def _distance_filter(k: int, t: int, n_max: int) -> tuple[int, list[int], int]:
+    """Packed weight test for d >= t on candidates [I | A] with up to n_max
+    columns.
+
+    One field per nonzero message m, at offset (m - 1) * width, holds
+    wt(mG) + top - t, where top is the field's high bit. Messages are
+    written in the parity values' big-endian bit order, so parity value
+    v adds popcount(m & v) & 1 to the weight of m. Returns (start,
+    parity_bits, high): start holds wt(m) + top - t, the identity part,
+    and parity_bits[v] holds the bits that v adds, so the candidate has
+    d >= t exactly when
+    (start + sum(parity_bits[v] for v in parity_values)) & high == high.
+    Each field stays in [0, 2 * top) because top > max(n_max, t), so no
+    field carries into the next.
+    """
+    width = max(n_max, t).bit_length() + 1
+    top = 1 << (width - 1)
+    start = high = 0
+    parity_bits = [0] * (1 << k)
+    for m in range(1, 1 << k):
+        shift = (m - 1) * width
+        start += (m.bit_count() + top - t) << shift
+        high |= top << shift
+        for v in range(1 << k):
+            if (m & v).bit_count() & 1:
+                parity_bits[v] |= 1 << shift
+    return start, parity_bits, high
 
 
 def _systematic_candidate(k: int, parity_values: tuple[int, ...]) -> LinearCode:

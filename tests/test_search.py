@@ -1,7 +1,11 @@
 """Exhaustive optimal-length search and the redundancy table."""
 
+import random
+from itertools import combinations_with_replacement
+
 import pytest
 
+import batchcodes.search as search_module
 from batchcodes import (
     CapacityError,
     batch_t,
@@ -9,6 +13,8 @@ from batchcodes import (
     pir_t,
     redundancy_table,
 )
+from batchcodes.search import _distance_filter, _passes, _systematic_candidate
+from oracles import brute_plan_exists, subset_sum_table
 
 
 def witness_rows(result):
@@ -97,6 +103,83 @@ class TestMinLength:
     def test_raised_guards_allow_more(self):
         res = min_length(2, 3, n_max=8, max_slack=6)
         assert res.optimal_n == 5
+
+    @pytest.mark.parametrize(
+        "k, t, mode, r_cap, optimal_n, nodes, rows",
+        [
+            (4, 3, "batch", None, 8, 2283,
+             ["10000011", "01000101", "00100110", "00011001"]),
+            (4, 4, "batch", None, 9, 11248,
+             ["100000111", "010001011", "001001101", "000110011"]),
+            (4, 4, "pir", 2, None, 20349, None),
+            (5, 3, "batch", None, 9, 26050,
+             ["100000011", "010000101", "001000110", "000101001", "000011010"]),
+        ],
+    )
+    def test_k4_k5_cells(self, k, t, mode, r_cap, optimal_n, nodes, rows):
+        res = min_length(k, t, mode, r_cap)
+        assert res.optimal_n == optimal_n
+        assert res.nodes_explored == nodes
+        assert (witness_rows(res) if res.found else None) == rows
+
+
+def filter_accepts(k: int, t: int, n_max: int, parity_values: tuple[int, ...]) -> bool:
+    start, parity_bits, high = _distance_filter(k, t, n_max)
+    return (start + sum(parity_bits[v] for v in parity_values)) & high == high
+
+
+class TestDistanceFilter:
+    def test_rejected_candidates_cannot_pass(self):
+        # Every [I | A] with k <= 3 and at most 3 parity columns.
+        rejections = 0
+        for k in (1, 2, 3):
+            for p in range(4):
+                for combo in combinations_with_replacement(range(1 << k), p):
+                    code = _systematic_candidate(k, combo)
+                    sums = subset_sum_table(code)
+                    for t in range(1, 5):
+                        if filter_accepts(k, t, k + 3, combo):
+                            continue
+                        for r in (None, 1, 2):
+                            assert not all(
+                                brute_plan_exists(code, (i,) * t, r, sums)
+                                for i in range(1, k + 1)
+                            ), (k, combo, t, r)
+                            for mode in ("batch", "pir"):
+                                assert not _passes(code, t, mode, r)
+                                rejections += 1
+        assert rejections == 3048
+
+    def test_packed_weights_match_min_distance(self):
+        rng = random.Random(4)
+        cases = [(rng.randint(1, 5), rng.randint(0, 10)) for _ in range(60)]
+        # n > 256: an 8-bit field would carry into its neighbour.
+        cases += [(2, 300), (3, 260), (4, 280), (5, 253)]
+        for k, p in cases:
+            combo = tuple(sorted(rng.randrange(1 << k) for _ in range(p)))
+            d = _systematic_candidate(k, combo).min_distance()
+            n = k + p
+            for n_max in (n, n + 5):
+                for t in sorted({1, d, d + 1, n, n + 1, 4 * n_max}):
+                    assert filter_accepts(k, t, n_max, combo) == (t <= d), (
+                        k, combo, n_max, t,
+                    )
+
+    def test_light_candidates_are_never_built(self, monkeypatch):
+        built = []
+
+        def counting(k, parity_values):
+            built.append(parity_values)
+            return _systematic_candidate(k, parity_values)
+
+        monkeypatch.setattr(search_module, "_systematic_candidate", counting)
+        res = min_length(4, 4)
+        # 11 245 of the 11 248 candidates have a codeword of weight < 4.
+        assert res.nodes_explored == 11248
+        assert len(built) == 3
+        assert all(
+            _systematic_candidate(4, combo).min_distance() >= 4 for combo in built
+        )
 
 
 class TestRedundancyTable:
