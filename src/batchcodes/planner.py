@@ -119,6 +119,7 @@ class QueryPlanner:
         # Cap the enumeration stopped at; None once it is complete.
         self._cap: dict[int, int | None] = {}
         self._packing: dict[int, int] = {}
+        self._classes: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def code(self) -> LinearCode:
@@ -170,14 +171,69 @@ class QueryPlanner:
                 assert cap is not None
                 self._ensure(sym, cap * 2)
 
+    def symbol_classes(self) -> tuple[tuple[int, ...], ...]:
+        """Classes of interchangeable symbols, ascending, covering 1..k.
+
+        Symbols i and j are interchangeable when swapping rows i and j
+        of the generator maps its column multiset onto itself. That is
+        an equivalence: if (i j) and (j l) fix the multiset, so does
+        their conjugate (i l) = (i j)(j l)(i j). So each class is found
+        by testing the symbols after its smallest member against that
+        member alone, and the transpositions inside a class generate
+        the full symmetric group on it.
+        """
+        if self._classes is None:
+            k = self._code.k
+            cols = self._code.column_words
+            ordered = sorted(cols)
+            weight = [sum((c >> i) & 1 for c in cols) for i in range(k)]
+            classes = []
+            left = list(range(k))
+            while left:
+                i = left.pop(0)
+                cls = [i]
+                for j in left:
+                    if weight[j] != weight[i]:
+                        continue
+                    flip = (1 << i) | (1 << j)
+                    swapped = sorted(
+                        c ^ flip if (c >> i ^ c >> j) & 1 else c for c in cols
+                    )
+                    if swapped == ordered:
+                        cls.append(j)
+                left = [j for j in left if j not in cls]
+                classes.append(tuple(s + 1 for s in cls))
+            self._classes = tuple(classes)
+        return self._classes
+
     def servable_all(self, t: int) -> tuple[bool, Query | None]:
         """Whether every size-t query is servable; on failure, the
-        lexicographically first failing query is the witness."""
+        lexicographically first failing query is the witness.
+
+        One query is tested per orbit under the permutations of symbols
+        within `symbol_classes`: those whose multiplicities are
+        non-increasing along each class, which are the lexicographic
+        minima of their orbits. A permutation fixing the column multiset
+        maps each recovery set of e_i onto one of e_pi(i) of the same
+        size, and disjoint sets onto disjoint sets, so servability is
+        constant on an orbit. The first failing query is then the
+        minimum of its orbit, so it is tested, and every query before
+        it is servable. Any subgroup of the symbol stabilizer gives a
+        sound reduction; the classes give one that is cheap to find,
+        where listing the whole stabilizer is not.
+        """
         if t < 1:
             raise ValueError(f"t must be >= 1, got {t}")
+        steps = [
+            (a, b)
+            for cls in self.symbol_classes()
+            for a, b in zip(cls, cls[1:])
+        ]
         for combo in combinations_with_replacement(
             range(1, self._code.k + 1), t
         ):
+            if any(combo.count(a) < combo.count(b) for a, b in steps):
+                continue
             q = Query(combo)
             if self.serve(q) is None:
                 return False, q

@@ -12,6 +12,8 @@ smallest recovery-set size comes from deepening the size cap from 1
 (`_min_size`), so its sets are then listed only up to the cap the
 profile needs. The information-symbol entries of `profile` are read off
 the query planner that already serves its batch and PIR sweeps.
+Each batch sweep tests one query per orbit of interchangeable symbols
+(`QueryPlanner.servable_all`).
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Shared fixtures: the named-code corpus, a random code generator, and
-a hypothesis strategy for small generator matrices."""
+hypothesis strategies for small generator matrices."""
 
 from __future__ import annotations
 
@@ -83,6 +83,30 @@ def small_codes(draw):
     columns = draw(
         st.lists(st.integers(0, (1 << k) - 1), min_size=n, max_size=n)
     )
+    matrix = column_matrix(k, columns)
+    assume(rank(matrix) == k)
+    return LinearCode(matrix)
+
+
+@st.composite
+def symmetric_codes(draw):
+    """Full-rank generator matrices with k <= 4 and n <= 10 whose column
+    multiset is closed under a random permutation of the symbols, so
+    that many of them have interchangeable symbols."""
+    k = draw(st.integers(1, 4))
+    perm = draw(st.permutations(range(k)))
+    base = draw(
+        st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=4)
+    )
+    columns = []
+    for col in base:
+        image = col
+        while True:
+            columns.append(image)
+            image = sum(((image >> i) & 1) << perm[i] for i in range(k))
+            if image == col:
+                break
+    assume(len(columns) <= 10)
     matrix = column_matrix(k, columns)
     assume(rank(matrix) == k)
     return LinearCode(matrix)

@@ -8,13 +8,14 @@ recursion, and the distance oracle evaluates every dot product directly.
 the planner's documented search order, without any of its pruning, so
 that plans can be compared exactly. `reference_lrc_profile` rebuilds the
 profiler's locality and availability from the brute-force minimal sets
-and packing alone.
+and packing alone. `reference_servable_all` sweeps every query, with no
+symmetry reduction.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 from batchcodes import BitVector, LinearCode, RecoverySet, ServingPlan
 
@@ -107,6 +108,22 @@ def brute_plan_exists(
         return False
 
     return place(0, 0)
+
+
+def reference_servable_all(
+    code: LinearCode,
+    t: int,
+    r: int | None = None,
+    sums: list[int] | None = None,
+) -> tuple[bool, tuple[int, ...] | None]:
+    """Every size-t query in lexicographic order through
+    `brute_plan_exists`; the first failing one is the witness."""
+    if sums is None:
+        sums = subset_sum_table(code)
+    for combo in combinations_with_replacement(range(1, code.k + 1), t):
+        if not brute_plan_exists(code, combo, r, sums):
+            return False, combo
+    return True, None
 
 
 def reference_plan(

@@ -232,3 +232,11 @@ def test_criterion_11_no_applicable_bound_exceeded(corpus):
                     checked += 1
     assert checked >= 200
     print(f"criterion 11: {checked} bound applications sound on the corpus")
+
+
+def test_criterion_12_capped_simplex5_batch_under_20s():
+    start = time.perf_counter()
+    assert batch_t(simplex(5), r=2) == 16
+    elapsed = time.perf_counter() - start
+    assert elapsed < 20.0, f"took {elapsed:.2f}s"
+    print(f"criterion 12: simplex(5) at r=2 serves every 16-query in {elapsed:.3f}s")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import batchcodes.planner as planner_module
 from batchcodes import (
+    BitMatrix,
     BitVector,
     InvalidQueryError,
     LinearCode,
@@ -15,14 +16,22 @@ from batchcodes import (
     QueryPlanner,
     RecoverySet,
     ServingPlan,
+    identity,
     is_servable_all,
+    paired_parity,
     plan_is_valid,
     serve_query,
     simplex,
     subcube,
+    triplicated_parity,
 )
-from conftest import random_systematic, small_codes
-from oracles import brute_plan_exists, reference_plan, subset_sum_table
+from conftest import random_systematic, small_codes, symmetric_codes
+from oracles import (
+    brute_plan_exists,
+    reference_plan,
+    reference_servable_all,
+    subset_sum_table,
+)
 
 # Column order used in worked examples elsewhere: identity first, then
 # the remaining nonzero vectors ordered as (110), (101), (011), (111).
@@ -215,6 +224,78 @@ class TestServableAll:
         ok, witness = is_servable_all(subcube(2, 1), 3)
         assert not ok
         assert witness.indices == (1, 1, 1)
+
+
+class TestSymbolClasses:
+    @pytest.mark.parametrize(
+        "code, classes",
+        [
+            (simplex(2), [(1, 2)]),
+            (simplex(3), [(1, 2, 3)]),
+            (simplex(4), [(1, 2, 3, 4)]),
+            (simplex(5), [(1, 2, 3, 4, 5)]),
+            (identity(3), [(1, 2, 3)]),
+            (paired_parity(6), [(1, 2), (3, 4), (5, 6)]),
+            (triplicated_parity(5), [(1, 2, 3, 4), (5,)]),
+            (subcube(2, 2), [(1, 4), (2, 3)]),
+        ],
+    )
+    def test_family_classes(self, code, classes):
+        assert list(QueryPlanner(code).symbol_classes()) == classes
+
+    def test_swaps_inside_classes_only_fix_columns(self, corpus):
+        rng = random.Random(7)
+        codes = [code for _, code in corpus]
+        codes += [random_systematic(rng, k_max=5, n_max=9) for _ in range(40)]
+        for code in codes:
+            classes = QueryPlanner(code).symbol_classes()
+            assert sorted(s for cls in classes for s in cls) == list(
+                range(1, code.k + 1)
+            )
+            label = {s: ci for ci, cls in enumerate(classes) for s in cls}
+            rows = code.generator.row_words
+            want = sorted(code.column_words)
+            for i in range(code.k):
+                for j in range(i + 1, code.k):
+                    swapped = list(rows)
+                    swapped[i], swapped[j] = rows[j], rows[i]
+                    image = LinearCode(BitMatrix(code.n, tuple(swapped)))
+                    fixed = sorted(image.column_words) == want
+                    assert fixed == (label[i + 1] == label[j + 1]), (
+                        rows,
+                        i + 1,
+                        j + 1,
+                    )
+
+    def test_sweep_serves_one_query_per_orbit(self, monkeypatch):
+        served = []
+        serve = QueryPlanner.serve
+
+        def counting(self, query):
+            served.append(query)
+            return serve(self, query)
+
+        monkeypatch.setattr(QueryPlanner, "serve", counting)
+        ok, witness = QueryPlanner(simplex(4)).servable_all(8)
+        assert ok and witness is None
+        # The partitions of 8 into at most 4 parts, not all 165 queries.
+        assert len(served) == 15
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    code=st.one_of(small_codes(), symmetric_codes()),
+    r=st.sampled_from([None, 1, 2]),
+)
+def test_sweep_matches_reference(code, r):
+    """The symmetry-reduced sweep gives the verdict and witness of the
+    full brute-force sweep."""
+    sums = subset_sum_table(code)
+    planner = QueryPlanner(code, r)
+    for t in range(1, 5):
+        ok, witness = planner.servable_all(t)
+        got = (ok, None if witness is None else witness.indices)
+        assert got == reference_servable_all(code, t, r, sums), t
 
 
 class TestPlanIsValid:
