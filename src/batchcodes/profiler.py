@@ -5,7 +5,11 @@ has a serving plan with recovery sets of size at most r; pir_t(r) only
 requires the t-fold repeated queries to be servable, which reduces to a
 disjoint-packing number per symbol. A uniform query (i, i, ..., i) is
 servable exactly when e_i admits t pairwise-disjoint recovery sets, so
-batch_t never exceeds pir_t and the batch sweep can stop there.
+batch_t never exceeds pir_t. Servability is also monotone in t: every
+query of t-1 symbols extends to one of t symbols, and dropping a
+position from a plan for it leaves a plan. So the batch sweep starts
+at t = pir_t and steps down only while a sweep fails; where batch_t
+equals pir_t, as it does for every named family, that is one sweep.
 
 Every target is enumerated at most once per analysis. A symbol's
 smallest recovery-set size comes from deepening the size cap from 1
@@ -103,13 +107,12 @@ def _pir(planner: QueryPlanner) -> int:
 
 
 def _batch(planner: QueryPlanner) -> int:
-    ceiling = _pir(planner)
-    t = 0
-    while t < ceiling:
-        ok, _ = planner.servable_all(t + 1)
-        if not ok:
-            break
-        t += 1
+    """Sweep t = pir_t first and step down while a sweep fails; since
+    servability is monotone in t (module docstring), the first t that
+    passes is batch_t."""
+    t = _pir(planner)
+    while t > 0 and not planner.servable_all(t)[0]:
+        t -= 1
     return t
 
 

@@ -8,6 +8,13 @@ dependent, some nonempty subset would sum to zero and its complement
 would still sum to v. Minimal sets therefore never exceed k columns,
 and a depth-first search can discard any branch whose next column lies
 in the span of the columns already chosen.
+
+The search works in coordinates over pivot columns, found by one
+elimination from the last column to the first: a residual can still be
+completed from the columns at positions >= i exactly when its
+coordinate mask has no bit below i. So one lowest-bit test bounds each
+node's loop, and the last slot of a set is a lookup of the columns
+equal to the residual rather than a scan (see `_minimal_sets`).
 """
 
 from __future__ import annotations
@@ -110,74 +117,104 @@ def _minimal_sets(
     max_count: int | None,
 ) -> tuple[list[tuple[int, ...]], bool]:
     """DFS over columns in index order. Minimal sets surface in preorder,
-    which is lexicographic order of the sorted index tuples."""
-    m = len(columns)
-    # suffix_span[i]: low-bit pivot basis of the span of columns[i:].
-    suffix_span: list[dict[int, int]] = [dict() for _ in range(m + 1)]
-    for i in range(m - 1, -1, -1):
-        span = dict(suffix_span[i + 1])
-        _span_insert(span, columns[i][1])
-        suffix_span[i] = span
+    which is lexicographic order of the sorted index tuples.
+
+    The search runs in coordinates over pivot columns. One elimination
+    from the last column to the first keeps column i as a pivot when it
+    lies outside the span of columns[i+1:], so the pivots at positions
+    >= i form a basis of span(columns[i:]). Every vector of the span
+    then has a unique coordinate mask, bit p standing for pivot p, and
+    lies in span(columns[i:]) exactly when its mask has no bit below i.
+    A residual can thus be completed from columns[idx:] only while idx
+    is at most the position of its lowest set bit, which bounds the loop.
+    When one slot is left, only columns equal to the residual complete
+    a set; they are looked up by coordinate, and their independence
+    from the path is tested once, since they are all the same vector.
+    """
+    # basis: low bit of a reduced word -> (word, its coordinate mask).
+    basis: dict[int, tuple[int, int]] = {}
+    coords = [0] * len(columns)
+    for i in range(len(columns) - 1, -1, -1):
+        word, coord = columns[i][1], 0
+        while word:
+            low = word & -word
+            if low not in basis:
+                basis[low] = (word, coord | 1 << i)
+                coord = 1 << i
+                break
+            b_word, b_coord = basis[low]
+            word ^= b_word
+            coord ^= b_coord
+        coords[i] = coord
+    word, target_coord = target, 0
+    while word:
+        low = word & -word
+        if low not in basis:
+            return [], False  # target outside the span of the columns
+        b_word, b_coord = basis[low]
+        word ^= b_word
+        target_coord ^= b_coord
+
+    ids = [j for j, _ in columns]
+    by_coord: dict[int, list[int]] = {}
+    for idx, coord in enumerate(coords):
+        by_coord.setdefault(coord, []).append(idx)
 
     hard_cap = None if max_count is None else max_count + 1
     out: list[tuple[int, ...]] = []
     path: list[int] = []
+    # Low-bit basis of the path's coordinate masks.
     path_span: dict[int, int] = {}
+    last = max_size - 1
 
     def dfs(start: int, residual: int) -> bool:
         # Returns True when the hard cap is reached and search must stop.
-        if len(path) == max_size:
+        if len(path) == last:
+            cur = residual
+            while cur:
+                low = cur & -cur
+                if low not in path_span:
+                    break
+                cur ^= path_span[low]
+            else:
+                return False  # the completing column depends on the path
+            for idx in by_coord.get(residual, ()):
+                if idx < start:
+                    continue
+                out.append(tuple(path) + (ids[idx],))
+                if len(out) == hard_cap:
+                    return True
             return False
-        for idx in range(start, m):
-            if _span_reduce(suffix_span[idx], residual) != 0:
-                # Suffix spans only shrink with idx: no completion remains.
-                return False
-            j, word = columns[idx]
-            reduced = _span_reduce(path_span, word)
-            if reduced == 0:
+        # Past the lowest set bit of `residual`, no completion remains.
+        for idx in range(start, (residual & -residual).bit_length()):
+            coord = coords[idx]
+            reduced = coord
+            while reduced:
+                low = reduced & -reduced
+                if low not in path_span:
+                    break
+                reduced ^= path_span[low]
+            else:
                 continue  # dependent on the current path: never minimal
-            nxt = residual ^ word
-            if nxt == 0:
-                out.append(tuple(path) + (j,))
-                if hard_cap is not None and len(out) == hard_cap:
+            if coord == residual:
+                out.append(tuple(path) + (ids[idx],))
+                if len(out) == hard_cap:
                     return True
                 continue  # supersets of a recovery set are dependent
-            path.append(j)
-            low = reduced & -reduced
+            path.append(ids[idx])
             path_span[low] = reduced
-            stop = dfs(idx + 1, nxt)
+            stop = dfs(idx + 1, residual ^ coord)
             del path_span[low]
             path.pop()
             if stop:
                 return True
         return False
 
-    dfs(0, target)
+    dfs(0, target_coord)
     truncated = hard_cap is not None and len(out) == hard_cap
     if truncated:
         out.pop()
     return out, truncated
-
-
-def _span_insert(span: dict[int, int], word: int) -> None:
-    cur = word
-    while cur:
-        low = cur & -cur
-        if low in span:
-            cur ^= span[low]
-        else:
-            span[low] = cur
-            return
-
-
-def _span_reduce(span: dict[int, int], word: int) -> int:
-    cur = word
-    while cur:
-        low = cur & -cur
-        if low not in span:
-            return cur
-        cur ^= span[low]
-    return 0
 
 
 def max_disjoint_packing(

@@ -91,23 +91,32 @@ def brute_plan_exists(
     r: int | None = None,
     sums: list[int] | None = None,
 ) -> bool:
-    """Plain DFS over ALL recovery sets per position, in query order."""
+    """Plain DFS over ALL recovery sets per position, in query order.
+
+    Copies of one symbol are interchangeable, so they take their sets
+    at increasing positions of the symbol's list (disjoint sets differ).
+    """
     if sums is None:
         sums = subset_sum_table(code)
-    options = []
-    for i in sorted(indices):
-        masks = brute_summing_masks(code, 1 << (i - 1), frozenset(), r, sums)
-        options.append(masks)
+    order = sorted(indices)
+    options = {
+        i: brute_summing_masks(code, 1 << (i - 1), frozenset(), r, sums)
+        for i in set(order)
+    }
 
-    def place(pos: int, used: int) -> bool:
-        if pos == len(options):
+    def place(pos: int, used: int, first: int) -> bool:
+        if pos == len(order):
             return True
-        for mask in options[pos]:
-            if not mask & used and place(pos + 1, used | mask):
+        masks = options[order[pos]]
+        for at in range(first, len(masks)):
+            if masks[at] & used:
+                continue
+            same = pos + 1 < len(order) and order[pos + 1] == order[pos]
+            if place(pos + 1, used | masks[at], at + 1 if same else 0):
                 return True
         return False
 
-    return place(0, 0)
+    return place(0, 0, 0)
 
 
 def reference_servable_all(

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from batchcodes import Query, QueryPlanner, format_matrix, simplex, subcube
-from batchcodes.cli import main
+from batchcodes.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -265,3 +265,21 @@ class TestTopLevel:
 
     def test_unknown_command(self, capsys):
         assert run(capsys, ["frobnicate"])[0] == 2
+
+    def test_parser_keeps_no_state_between_calls(self, capsys, subcube_file):
+        """The parser `main` reuses gives the same output as a fresh one,
+        and a usage error leaves it usable."""
+        calls = (
+            ["analyze", subcube_file, "--r-cap", "2", "--query", "1,2"],
+            ["analyze", subcube_file, "--json"],
+        )
+        reused = [run(capsys, argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            args = build_parser().parse_args(argv)
+            code = args.func(args)
+            fresh.append((code, *capsys.readouterr()))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0]
+        assert run(capsys, ["analyze"])[0] == 2
+        assert run(capsys, calls[1]) == fresh[1]

@@ -23,11 +23,12 @@ from batchcodes import (
     subcube,
     triplicated_parity,
 )
-from conftest import column_matrix, random_systematic, small_codes
+from conftest import column_matrix, random_systematic, small_codes, symmetric_codes
 from oracles import (
     brute_max_packing,
     brute_minimal_recovery_sets,
     reference_lrc_profile,
+    reference_servable_all,
     subset_sum_table,
 )
 
@@ -226,6 +227,39 @@ def test_size_cap_never_raises_parameters():
 
 def _code(k: int, columns: list[int]) -> LinearCode:
     return LinearCode(column_matrix(k, columns))
+
+
+def test_batch_sweep_descends_below_pir():
+    """Non-systematic [4,3] code with columns e1, e1+e2, e1+e3 and
+    e1+e2+e3: every e_i has two disjoint recovery sets, but the query
+    (2,3) has no plan, so the sweep at t = pir_t fails and steps down."""
+    code = _code(3, [0b001, 0b011, 0b101, 0b111])
+    assert reference_servable_all(code, 2) == (False, (2, 3))
+    assert reference_servable_all(code, 1) == (True, None)
+    assert (batch_t(code), pir_t(code), code.min_distance()) == (1, 2, 2)
+    ok, witness = QueryPlanner(code).servable_all(2)
+    assert not ok and witness.indices == (2, 3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    code=st.one_of(small_codes(), symmetric_codes()),
+    r=st.sampled_from([None, 1, 2]),
+)
+@example(code=_code(3, [0b001, 0b011, 0b101, 0b111]), r=None)
+def test_batch_t_matches_reference(code, r):
+    """batch_t is the largest t whose full brute-force sweep passes;
+    batch_t <= pir_t <= d, and a larger cap never lowers batch_t."""
+    sums = subset_sum_table(code)
+    want = 0
+    while reference_servable_all(code, want + 1, r, sums)[0]:
+        want += 1
+    got = batch_t(code, r)
+    assert got == want
+    assert got <= pir_t(code, r) <= code.min_distance()
+    caps = [1, 2, None]
+    for looser in caps[caps.index(r) + 1 :]:
+        assert got <= batch_t(code, looser)
 
 
 def _as_tuple(lp):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from batchcodes import (
     BitVector,
@@ -15,7 +17,7 @@ from batchcodes import (
     simplex,
     subcube,
 )
-from conftest import random_systematic
+from conftest import column_matrix, random_systematic, small_codes
 from oracles import (
     brute_max_packing,
     brute_minimal_recovery_sets,
@@ -125,6 +127,51 @@ class TestEnumeration:
             enumerate_recovery_sets(code, BitVector.unit(2, 1), max_size=0)
         with pytest.raises(ValueError):
             enumerate_recovery_sets(code, BitVector.unit(2, 1), max_count=0)
+
+
+def _code(k: int, columns: list[int]) -> LinearCode:
+    return LinearCode(column_matrix(k, columns))
+
+
+@st.composite
+def enumeration_calls(draw):
+    """A code with a nonzero target, possibly outside the span of the
+    allowed columns, an excluded set, and both caps."""
+    code = draw(small_codes())
+    word = draw(st.integers(1, (1 << code.k) - 1))
+    excluded = draw(st.frozensets(st.integers(1, code.n)))
+    max_size = draw(st.sampled_from([None, *range(1, code.k + 1)]))
+    max_count = draw(st.sampled_from([None, 1, 2, 3, 4]))
+    return code, word, excluded, max_size, max_count
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(call=enumeration_calls())
+# Columns equal to the last residual lie both before and after the path.
+@example(call=(_code(2, [1, 2, 1, 3, 2]), 3, frozenset(), None, None))
+# After the path {1,2}, the residual is column 1 again: {1,2,3} sums to
+# the target but is not minimal.
+@example(call=(_code(3, [1, 2, 1, 4]), 2, frozenset(), 3, None))
+# k=1 with a zero column and an excluded column, truncated after two
+# of three sets.
+@example(call=(_code(1, [1, 0, 1, 1]), 1, frozenset((2,)), 1, 2))
+# Target outside the span of the allowed columns.
+@example(call=(_code(3, [1, 2, 4, 3]), 4, frozenset((3,)), None, 1))
+def test_matches_oracle_prefix(call):
+    """The sets are a prefix of the brute-force minimal sets in
+    lexicographic order, and `truncated` means the oracle has more."""
+    code, word, excluded, max_size, max_count = call
+    enum = enumerate_recovery_sets(
+        code,
+        BitVector(code.k, word),
+        excluded=excluded,
+        max_size=max_size,
+        max_count=max_count,
+    )
+    want = brute_minimal_recovery_sets(code, word, excluded, max_size)
+    got = as_tuples(enum)
+    assert got == want[:max_count]
+    assert enum.truncated == (len(want) > len(got))
 
 
 class TestMaxDisjointPacking:
