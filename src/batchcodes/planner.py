@@ -30,6 +30,10 @@ __all__ = [
 # First enumeration cap per symbol; doubled whenever a failed plan search
 # might have been starved by a truncated candidate list.
 _INITIAL_CAP = 64
+# Failed (group, used-columns) states one plan search remembers. A hard
+# query can fail in tens of thousands of distinct states; the first few
+# hundred recorded already skip most repeats, at a fixed memory cost.
+_MEMO_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -326,6 +330,16 @@ class QueryPlanner:
         order visits the same nodes in the same order as a scan of the
         candidate list would, so plans and verdicts do not depend on
         the representation.
+
+        Within one search the groups' order and candidate lists are
+        fixed, so whether `place(gi, used)` succeeds depends on
+        (gi, used) alone. A state seen to fail is recorded, and later
+        visits to it fail at once. Skipping a subtree known to hold no
+        plan leaves every other node in its order, so the first plan
+        found and a None verdict are the same as without the record.
+        It holds at most `_MEMO_LIMIT` states, and it is allocated on
+        the first failure, so a query served without backtracking out
+        of a group pays nothing for it.
         """
         infos = []
         for sym, cnt in sorted(
@@ -343,10 +357,16 @@ class QueryPlanner:
 
         n = self._code.n
         chosen: dict[int, list[int]] = {}
+        # failed[gi] holds used-column masks known to fail at group gi.
+        failed: list[set[int]] | None = None
+        room = _MEMO_LIMIT
 
         def place(gi: int, used: int) -> bool:
+            nonlocal failed, room
             if gi == len(infos):
                 return True
+            if failed is not None and used in failed[gi]:
+                return False
             sym, cnt, masks, full, meets, nibbles, smallest = infos[gi]
             need_after = suffix_need[gi + 1]
             count = len(masks)
@@ -382,7 +402,14 @@ class QueryPlanner:
                     break
                 clash |= nib[rest & 15]
                 rest >>= 4
-            return pick(cnt, used, full & ~clash)
+            if pick(cnt, used, full & ~clash):
+                return True
+            if room:
+                if failed is None:
+                    failed = [set() for _ in infos]
+                failed[gi].add(used)
+                room -= 1
+            return False
 
         if place(0, 0):
             return chosen

@@ -253,11 +253,14 @@ def max_disjoint_packing(
             if stop_at is not None and best >= stop_at:
                 return True
         avail = [i for i in range(start, count) if not items[i] & used]
-        if not avail:
+        # Beating `best` takes `need` more disjoint open sets. They fit
+        # in the free columns only if the `need` smallest do, and those
+        # are a prefix of `avail`, which is in size order.
+        need = best - depth + 1
+        if len(avail) < need:
             return False
         free = (universe & ~used).bit_count()
-        smallest = min(sizes[i] for i in avail)
-        if depth + min(len(avail), free // smallest) <= best:
+        if sum(sizes[i] for i in avail[:need]) > free:
             return False
         for pos, i in enumerate(avail):
             if depth + (len(avail) - pos) <= best:

@@ -240,3 +240,11 @@ def test_criterion_12_capped_simplex5_batch_under_20s():
     elapsed = time.perf_counter() - start
     assert elapsed < 20.0, f"took {elapsed:.2f}s"
     print(f"criterion 12: simplex(5) at r=2 serves every 16-query in {elapsed:.3f}s")
+
+
+def test_criterion_13_uncapped_simplex5_pir_under_2s():
+    start = time.perf_counter()
+    assert pir_t(simplex(5)) == 16
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"took {elapsed:.2f}s"
+    print(f"criterion 13: simplex(5) packs 16 disjoint sets per symbol in {elapsed:.3f}s")

@@ -1,6 +1,9 @@
 """Query parsing and serving-plan search."""
 
+import json
 import random
+from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from batchcodes import (
     QueryPlanner,
     RecoverySet,
     ServingPlan,
+    batch_t,
     identity,
     is_servable_all,
     paired_parity,
@@ -174,6 +178,45 @@ class TestServe:
         for q, plan in zip(queries, got):
             assert plan_is_valid(code, q, plan)
 
+    @pytest.mark.parametrize("limit", [0, 1])
+    def test_failed_state_memo_keeps_plans(self, monkeypatch, corpus, limit):
+        # With the memo off (0) or full after one state (1), every plan
+        # and every None must be those of the default limit.
+        rng = random.Random(13)
+        queries = [
+            (simplex(4), None, Query(combo))
+            for combo in rng.sample(
+                [
+                    combo
+                    for t in (6, 7, 8)
+                    for combo in combinations_with_replacement(range(1, 5), t)
+                ],
+                60,
+            )
+        ]
+        queries += [
+            (simplex(5), 2, Query(tuple(rng.randint(1, 5) for _ in range(t))))
+            for t in (12, 13, 14, 15)
+            for _ in range(10)
+        ]
+        frozen = Path(__file__).resolve().parents[1] / "perfbench/data/frozen.json"
+        codes = dict(corpus)
+        for name, listed in json.loads(frozen.read_text())["unservable"].items():
+            if codes[name].n <= 12:
+                queries += [(codes[name], None, Query(tuple(q))) for q in listed]
+
+        def serve_all():
+            planners = {}
+            return [
+                str(planners.setdefault((code, r), QueryPlanner(code, r)).serve(q))
+                for code, r, q in queries
+            ]
+
+        want = serve_all()
+        assert "None" in want
+        monkeypatch.setattr(planner_module, "_MEMO_LIMIT", limit)
+        assert serve_all() == want
+
     def test_validation(self):
         with pytest.raises(ValueError):
             QueryPlanner(subcube(2, 1), r=0)
@@ -207,6 +250,34 @@ def test_plan_is_reference_plan(code, r, data):
         len(planner.candidates(s)) <= planner_module._INITIAL_CAP
         for s in range(1, code.k + 1)
     )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    code=st.one_of(small_codes(), symmetric_codes()),
+    r=st.sampled_from([None, 1, 2]),
+    data=st.data(),
+)
+def test_unservable_verdicts_match_brute_force(code, r, data):
+    """Every None from serve, on queries up to t = batch_t + 1, is
+    confirmed by the brute-force search over all recovery sets."""
+    top = batch_t(code, r) + 1
+    planner = QueryPlanner(code, r)
+    ok, witness = planner.servable_all(top)
+    assert not ok
+    drawn = data.draw(
+        st.lists(
+            st.lists(st.integers(1, code.k), min_size=1, max_size=top),
+            max_size=6,
+        )
+    )
+    sums = subset_sum_table(code)
+    for q in [witness] + [Query(tuple(indices)) for indices in drawn]:
+        plan = planner.serve(q)
+        if plan is None:
+            assert not brute_plan_exists(code, q.indices, r, sums), q
+        else:
+            assert plan_is_valid(code, q, plan, r), q
 
 
 class TestServableAll:

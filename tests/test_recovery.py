@@ -174,6 +174,25 @@ def test_matches_oracle_prefix(call):
     assert enum.truncated == (len(want) > len(got))
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 10),
+    stop_at=st.none() | st.integers(1, 8),
+)
+def test_packing_matches_oracle(data, n, stop_at):
+    """The exact packing number, or with `stop_at` a value from
+    stop_at up to it once it reaches stop_at. Masks are nonempty, as
+    recovery sets are; the oracle would count an empty one as a set."""
+    masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=14))
+    want = brute_max_packing(masks)
+    got = max_disjoint_packing(masks, stop_at)
+    if stop_at is None or want < stop_at:
+        assert got == want
+    else:
+        assert stop_at <= got <= want
+
+
 class TestMaxDisjointPacking:
     def test_known_values(self):
         assert max_disjoint_packing([]) == 0
