@@ -10,6 +10,7 @@ desk scale.
 from .bounds import (
     BoundVerdict,
     evaluate_all,
+    evaluate_bounds,
     gopalan_lrc,
     plotkin_batch,
     redundancy_bound,
@@ -111,6 +112,7 @@ __all__ = [
     "corollary_check",
     "enumerate_recovery_sets",
     "evaluate_all",
+    "evaluate_bounds",
     "format_matrix",
     "gopalan_lrc",
     "identity",

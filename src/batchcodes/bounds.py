@@ -3,8 +3,11 @@ arithmetic.
 
 Length bounds state n >= rhs for any code with the given parameters;
 the cardinality bound states q^k <= rhs. Each helper returns the rhs
-(plus maximizing witnesses where a parameter is swept); evaluate_all
-applies every bound to a computed CodeProfile and reports verdicts.
+(plus maximizing witnesses where a parameter is swept). evaluate_bounds
+is the bound table: it alone decides which rows appear, in what order,
+and with which skip reasons, witnesses and attainment. `batchcodes
+bounds` renders it for given parameters, and evaluate_all for a
+computed CodeProfile (`batchcodes analyze`).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "zs_systematic",
     "zs_refined",
     "redundancy_bound",
+    "evaluate_bounds",
     "evaluate_all",
 ]
 
@@ -109,25 +113,25 @@ def plotkin_batch(n: int, k: int, t: int, q: int = 2) -> BoundVerdict:
     )
 
 
+def _zs(k: int, d: int, beta: int, num: int, denom: int) -> int:
+    """k + d + (beta-1)(ceil(num / denom) - 1) - 1: the form every
+    Zhang-Skachek bound below takes, at its own numerator and divisor."""
+    return k + d + (beta - 1) * (_ceil_div(num, denom) - 1) - 1
+
+
 def zs_base(k: int, d: int, r: int, t: int) -> int:
     """n >= k + d + (t-1)(ceil(k / (rt - t + 1)) - 1) - 1."""
     _require_positive(k=k, d=d, r=r, t=t)
-    return k + d + (t - 1) * (_ceil_div(k, r * t - t + 1) - 1) - 1
+    return _zs(k, d, t, k, r * t - t + 1)
 
 
 def zs_best(k: int, d: int, r: int, t: int) -> tuple[int, int]:
-    """Best sub-query bound: max over beta in [1, t] of the zs_base form
-    with t replaced by beta. Returns (rhs, smallest maximizing beta)."""
+    """Best sub-query bound: max over beta in [1, t] of zs_base at
+    t = beta. Returns (rhs, smallest maximizing beta)."""
     _require_positive(k=k, d=d, r=r, t=t)
-    best = None
-    best_beta = 1
-    for beta in range(1, t + 1):
-        val = k + d + (beta - 1) * (_ceil_div(k, r * beta - beta + 1) - 1) - 1
-        if best is None or val > best:
-            best = val
-            best_beta = beta
-    assert best is not None
-    return best, best_beta
+    # max keeps the first of equal values: the smallest beta.
+    beta = max(range(1, t + 1), key=lambda b: zs_base(k, d, r, b))
+    return zs_base(k, d, r, beta), beta
 
 
 def zs_systematic(k: int, d: int, r: int, t: int) -> tuple[int, int]:
@@ -137,19 +141,13 @@ def zs_systematic(k: int, d: int, r: int, t: int) -> tuple[int, int]:
     _require_positive(k=k, d=d, r=r, t=t)
     if t < 2:
         raise NotApplicableError(f"requires t >= 2, got t = {t}")
-    best = None
-    best_beta = 2
-    for beta in range(2, t + 1):
-        denom = r * beta - beta - r + 2
-        if denom < 1:
-            continue
-        val = k + d + (beta - 1) * (_ceil_div(k, denom) - 1) - 1
-        if best is None or val > best:
-            best = val
-            best_beta = beta
-    if best is None:
-        raise NotApplicableError("no beta in [2, t] gives a positive divisor")
-    return best, best_beta
+
+    def rhs(beta: int) -> int:
+        # The divisor is (r-1)(beta-1) + 1, never below 1.
+        return _zs(k, d, beta, k, r * beta - beta - r + 2)
+
+    beta = max(range(2, t + 1), key=rhs)
+    return rhs(beta), beta
 
 
 def zs_refined(k: int, d: int, r: int, t: int) -> tuple[int, dict[str, int]]:
@@ -180,9 +178,9 @@ def zs_refined(k: int, d: int, r: int, t: int) -> tuple[int, dict[str, int]]:
         width = r * beta - beta
         denom = width + 1
         for eps in range(1, width + 1):
-            a_val = k + d + (beta - 1) * (_ceil_div(k + eps, denom) - 1) - 1
+            a_val = _zs(k, d, beta, k + eps, denom)
             for lam in range(1, width + 1):
-                b_val = k + d + (beta - 1) * (_ceil_div(k + lam, denom) - 1) - 1
+                b_val = _zs(k, d, beta, k + lam, denom)
                 c_val = (r * beta - lam + 1) * k - pairs * (eps - 1)
                 val = min(a_val, b_val, c_val)
                 if best is None or val > best:
@@ -231,17 +229,31 @@ def _table_lookup(
         )
 
 
-def evaluate_all(prof: CodeProfile, q: int = 2) -> list[BoundVerdict]:
-    """Every bound applied at the profile's parameters.
+def evaluate_bounds(
+    n: int | None,
+    k: int,
+    d: int,
+    t: int,
+    r: int,
+    locality: int | None,
+    delta: int,
+    systematic: bool,
+    q: int = 2,
+) -> list[BoundVerdict]:
+    """The bound table: every bound, in a fixed order, at the given
+    parameters.
 
-    Restricted-size bounds use r = r_cap, or r = n when the analysis cap
-    was unbounded (a set never exceeds n columns); t is the profile's
-    batch_t. The locality pair (r, delta) comes from the all-symbol
-    profile, whose availability is capped at the locality itself so the
-    pair is exactly what the LRC bounds quantify over.
+    The LRC rows take the all-symbol locality and availability delta,
+    and are skipped when locality is None. The Zhang-Skachek rows take
+    the recovery-set size cap r and batch parameter t, and are skipped
+    when t is 0; zs_systematic also when the code is not systematic. A
+    length row is attained when its rhs equals n. With n None the
+    cardinality row is skipped and no row is attained.
     """
-    n, k, d, t = prof.n, prof.k, prof.d, prof.batch_t
-    r_eff = prof.r_cap if prof.r_cap is not None else prof.n
+    if q < 2:
+        raise ValueError(f"q must be >= 2, got {q}")
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
     out: list[BoundVerdict] = []
 
     def length(name: str, rhs: int, witness: dict[str, int] | None = None) -> None:
@@ -256,47 +268,74 @@ def evaluate_all(prof: CodeProfile, q: int = 2) -> list[BoundVerdict]:
 
     length("singleton", singleton(k, d))
 
-    loc = prof.all_symbol.locality
-    if loc is None or loc == 0:
+    if locality is None:
         reason = "some coded symbol has no recovery set"
         skip("gopalan_lrc", reason)
         skip("wang_zhang", reason)
     else:
-        length("gopalan_lrc", gopalan_lrc(k, d, loc), {"r": loc})
-        delta = prof.all_symbol.availability
-        if delta >= 1:
-            length(
-                "wang_zhang",
-                wang_zhang(k, d, loc, delta),
-                {"r": loc, "delta": delta},
-            )
-        else:
-            skip("wang_zhang", "all-symbol availability is 0")
+        length("gopalan_lrc", gopalan_lrc(k, d, locality), {"r": locality})
+        length(
+            "wang_zhang",
+            wang_zhang(k, d, locality, delta),
+            {"r": locality, "delta": delta},
+        )
 
-    out.append(plotkin_batch(n, k, t, q))
+    if n is None:
+        out.append(
+            BoundVerdict(
+                "plotkin_batch",
+                "cardinality",
+                False,
+                None,
+                False,
+                reason="needs --n",
+                witness={"t": t, "q": q},
+            )
+        )
+    else:
+        out.append(plotkin_batch(n, k, t, q))
 
     if t < 1:
         for name in ("zs_base", "zs_best", "zs_systematic", "zs_refined"):
             skip(name, "batch parameter t is 0")
         return out
 
-    length("zs_base", zs_base(k, d, r_eff, t), {"r": r_eff, "t": t})
-    rhs, beta = zs_best(k, d, r_eff, t)
-    length("zs_best", rhs, {"r": r_eff, "t": t, "beta": beta})
+    length("zs_base", zs_base(k, d, r, t), {"r": r, "t": t})
+    rhs, beta = zs_best(k, d, r, t)
+    length("zs_best", rhs, {"r": r, "t": t, "beta": beta})
 
-    if not prof.systematic:
+    if not systematic:
         skip("zs_systematic", "code is not systematic")
     else:
         try:
-            rhs, beta = zs_systematic(k, d, r_eff, t)
-            length("zs_systematic", rhs, {"r": r_eff, "t": t, "beta": beta})
+            rhs, beta = zs_systematic(k, d, r, t)
+            length("zs_systematic", rhs, {"r": r, "t": t, "beta": beta})
         except NotApplicableError as exc:
             skip("zs_systematic", str(exc))
 
     try:
-        rhs, wit = zs_refined(k, d, r_eff, t)
-        length("zs_refined", rhs, {"r": r_eff, "t": t, **wit})
+        rhs, wit = zs_refined(k, d, r, t)
+        length("zs_refined", rhs, {"r": r, "t": t, **wit})
     except NotApplicableError as exc:
         skip("zs_refined", str(exc))
 
     return out
+
+
+def evaluate_all(prof: CodeProfile, q: int = 2) -> list[BoundVerdict]:
+    """Every bound applied at the profile's parameters.
+
+    Restricted-size bounds use r = r_cap, or r = n when the analysis cap
+    was unbounded (a set never exceeds n columns); t is the profile's
+    batch_t. The locality pair (r, delta) comes from the all-symbol
+    profile, whose availability is capped at the locality itself so the
+    pair is exactly what the LRC bounds quantify over. A full-rank code
+    has a nonzero column, so that locality is None or at least 1, and
+    then every symbol has a set within it: the availability is >= 1.
+    """
+    r = prof.r_cap if prof.r_cap is not None else prof.n
+    lrc = prof.all_symbol
+    return evaluate_bounds(
+        prof.n, prof.k, prof.d, prof.batch_t, r,
+        lrc.locality, lrc.availability, prof.systematic, q,
+    )

@@ -4,6 +4,7 @@ import random
 from math import ceil, comb
 
 import pytest
+from hypothesis import given, settings
 
 from batchcodes import (
     InsufficientDataError,
@@ -11,6 +12,7 @@ from batchcodes import (
     evaluate_all,
     gopalan_lrc,
     identity,
+    lrc_profile,
     paired_parity,
     plotkin_batch,
     profile,
@@ -23,6 +25,7 @@ from batchcodes import (
     zs_refined,
     zs_systematic,
 )
+from conftest import small_codes
 
 
 class TestClosedForms:
@@ -233,3 +236,13 @@ class TestEvaluateAll:
                 continue
             verdicts = evaluate_all(profile(code))
             assert {v.name for v in verdicts} == names, name
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(code=small_codes())
+def test_all_symbol_locality_feeds_the_lrc_rows(code):
+    """A full-rank code has a nonzero column, so its locality is None or
+    at least 1; at that cap every symbol has a set, so the availability
+    is at least 1. evaluate_all relies on both for the LRC rows."""
+    lrc = lrc_profile(code)
+    assert lrc.locality is None or (lrc.locality >= 1 and lrc.availability >= 1)

@@ -11,6 +11,7 @@ from batchcodes import Query, QueryPlanner, format_matrix, simplex, subcube
 from batchcodes.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run(capsys, argv, stdin_text=None):
@@ -124,6 +125,25 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_readme_example(self, capsys):
+        """README's analyze block is what the command prints."""
+        command = (
+            "batchcodes construct simplex --m 3 | "
+            "batchcodes analyze - --r-cap 2 --query 1,1,2,2"
+        )
+        text = README.read_text()
+        start = text.index("```\n", text.index(command)) + 4
+        start = text.index("```\n", start) + 4
+        shown = text[start : text.index("```", start)]
+        code, matrix, err = run(capsys, ["construct", "simplex", "--m", "3"])
+        code, out, err = run(
+            capsys,
+            ["analyze", "-", "--r-cap", "2", "--query", "1,1,2,2"],
+            stdin_text=matrix,
+        )
+        assert code == 0
+        assert out == shown
+
     def test_missing_file(self, capsys, tmp_path):
         code, out, err = run(capsys, ["analyze", str(tmp_path / "nope.txt")])
         assert code == 2
@@ -228,6 +248,56 @@ class TestBounds:
             capsys, ["bounds", "--k", "0", "--d", "1", "--r", "1", "--t", "1"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--t", "0"],
+            ["--d", "0"],
+            ["--r", "0"],
+            ["--delta", "0"],
+            ["--n", "0"],
+            ["--q", "1"],
+            ["--q", "1", "--n", "7"],
+        ],
+        ids="_".join,
+    )
+    def test_rejected_inputs(self, capsys, extra):
+        """Every parameter below its range exits 2, whether or not --n
+        is given; t = 0 too, although the table of a profile with
+        batch_t = 0 skips the rows that need t."""
+        argv = ["bounds", "--k", "3", "--d", "4", "--r", "2", "--t", "4"]
+        code, out, err = run(capsys, argv + extra)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+    def test_nonsystematic_row_is_listed(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["bounds", "--k", "3", "--d", "4", "--r", "2", "--t", "4", "--json"],
+        )
+        assert code == 0
+        rows = {v["name"]: v for v in json.loads(out)}
+        assert rows["zs_systematic"]["applicable"] is False
+        assert rows["zs_systematic"]["reason"] == "code is not systematic"
+
+    def test_same_table_as_analyze(self, capsys):
+        """analyze and bounds print one table for the same parameters."""
+        code, report, err = run(
+            capsys,
+            ["analyze", "-", "--r-cap", "2"],
+            stdin_text=format_matrix(simplex(3).generator),
+        )
+        assert code == 0
+        code, table, err = run(
+            capsys,
+            [
+                "bounds", "--k", "3", "--d", "4", "--r", "2", "--t", "4",
+                "--delta", "3", "--n", "7", "--systematic",
+            ],
+        )
+        assert code == 0
+        assert report.split("\n\n", 1)[1] == table
 
 
 class TestSearch:
