@@ -118,8 +118,8 @@ class QueryPlanner:
         self._r = r
         self._sets: dict[int, tuple[RecoverySet, ...]] = {}
         self._masks: dict[int, list[int]] = {}
-        # symbol -> (full, meets, nibbles, smallest); see _conflicts.
-        self._tables: dict[int, tuple[int, list[int], list[list[int]], int]] = {}
+        # symbol -> (full, meets, nibbles); see _conflicts.
+        self._tables: dict[int, tuple[int, list[int], list[list[int]]]] = {}
         # Cap the enumeration stopped at; None once it is complete.
         self._cap: dict[int, int | None] = {}
         self._packing: dict[int, int] = {}
@@ -182,7 +182,7 @@ class QueryPlanner:
         of the generator maps its column multiset onto itself. That is
         an equivalence: if (i j) and (j l) fix the multiset, so does
         their conjugate (i l) = (i j)(j l)(i j). So each class is found
-        by testing the symbols after its smallest member against that
+        by testing the symbols after its least member against that
         member alone, and the transpositions inside a class generate
         the full symmetric group on it.
         """
@@ -262,22 +262,18 @@ class QueryPlanner:
         self._sets[symbol] = enum.sets
         self._masks[symbol] = [rs.column_mask() for rs in enum.sets]
         self._cap[symbol] = cap if enum.truncated else None
-        self._packing.pop(symbol, None)
         self._tables.pop(symbol, None)
 
-    def _conflicts(
-        self, symbol: int
-    ) -> tuple[int, list[int], list[list[int]], int]:
+    def _conflicts(self, symbol: int) -> tuple[int, list[int], list[list[int]]]:
         """Conflict bitsets for the current candidate list of `symbol`:
-        (full, meets, nibbles, smallest).
+        (full, meets, nibbles).
 
         Bit i of each bitset stands for candidate i, and `full` holds
         them all. `meets[i]` holds the candidates sharing a column with
         candidate i (i included). `nibbles[b][v]` holds the candidates
         touching a column of 4b+1..4b+4 selected by the 4-bit value v,
         so the candidates clashing with a used-column mask take one
-        lookup per 4 columns. `smallest` is the fewest columns any
-        candidate has.
+        lookup per 4 columns.
         """
         table = self._tables.get(symbol)
         if table is None:
@@ -305,12 +301,7 @@ class QueryPlanner:
                     low = v & -v
                     nib[v] = nib[v ^ low] | quad[low.bit_length() - 1]
                 nibbles.append(nib)
-            table = (
-                (1 << len(masks)) - 1,
-                meets,
-                nibbles,
-                min(m.bit_count() for m in masks),
-            )
+            table = ((1 << len(masks)) - 1, meets, nibbles)
             self._tables[symbol] = table
         return table
 
@@ -320,8 +311,9 @@ class QueryPlanner:
         Groups with the fewest candidates are placed first; within a
         group, copies take candidates at strictly increasing positions,
         so the first plan found is the lexicographic depth-first one.
-        A node is cut when the free columns cannot hold the sets still
-        to place, or when fewer candidates remain open than copies.
+        A node is cut when fewer candidates remain open than copies are
+        left to place; the failed-state record below is the only other
+        cut.
 
         The open candidates of a group are a bitset `avail`: on entry,
         the candidates touching no used column; after a pick i, what
@@ -350,12 +342,6 @@ class QueryPlanner:
                 return None
             infos.append((sym, cnt, masks, *self._conflicts(sym)))
 
-        suffix_need = [0] * (len(infos) + 1)
-        for i in range(len(infos) - 1, -1, -1):
-            _, cnt, _, _, _, _, smallest = infos[i]
-            suffix_need[i] = suffix_need[i + 1] + cnt * smallest
-
-        n = self._code.n
         chosen: dict[int, list[int]] = {}
         # failed[gi] holds used-column masks known to fail at group gi.
         failed: list[set[int]] | None = None
@@ -367,9 +353,7 @@ class QueryPlanner:
                 return True
             if failed is not None and used in failed[gi]:
                 return False
-            sym, cnt, masks, full, meets, nibbles, smallest = infos[gi]
-            need_after = suffix_need[gi + 1]
-            count = len(masks)
+            sym, cnt, masks, full, meets, nibbles = infos[gi]
             picks: list[int] = []
 
             def pick(left: int, used_now: int, avail: int) -> bool:
@@ -378,16 +362,11 @@ class QueryPlanner:
                         chosen[sym] = list(picks)
                         return True
                     return False
-                if n - used_now.bit_count() < left * smallest + need_after:
-                    return False
                 if avail.bit_count() < left:
                     return False
-                last = count - left
                 while avail:
                     low = avail & -avail
                     i = low.bit_length() - 1
-                    if i > last:
-                        return False
                     avail ^= low
                     picks.append(i)
                     if pick(left - 1, used_now | masks[i], avail & ~meets[i]):

@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
+from .constructions import _code_from_columns
 from .errors import CapacityError
-from .gf2 import BitMatrix, LinearCode, reverse_bits
+from .gf2 import LinearCode, reverse_bits
 from .planner import QueryPlanner
 
 __all__ = ["SearchResult", "min_length", "redundancy_table"]
@@ -148,15 +149,9 @@ def _distance_filter(k: int, t: int, n_max: int) -> tuple[int, list[int], int]:
 
 
 def _systematic_candidate(k: int, parity_values: tuple[int, ...]) -> LinearCode:
-    rows = [1 << i for i in range(k)]
-    for offset, value in enumerate(parity_values):
-        word = reverse_bits(value, k)
-        rest = word
-        while rest:
-            low = rest & -rest
-            rows[low.bit_length() - 1] |= 1 << (k + offset)
-            rest ^= low
-    return LinearCode(BitMatrix(k + len(parity_values), tuple(rows)))
+    return _code_from_columns(
+        k, [1 << i for i in range(k)] + [reverse_bits(v, k) for v in parity_values]
+    )
 
 
 def _passes(code: LinearCode, t: int, mode: str, r_cap: int | None) -> bool:

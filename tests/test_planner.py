@@ -29,7 +29,7 @@ from batchcodes import (
     subcube,
     triplicated_parity,
 )
-from conftest import random_systematic, small_codes, symmetric_codes
+from conftest import column_matrix, random_systematic, small_codes, symmetric_codes
 from oracles import (
     brute_plan_exists,
     reference_plan,
@@ -235,7 +235,7 @@ def test_plan_is_reference_plan(code, r, data):
     lexicographic backtrack, and None exactly when it does."""
     symbol = st.integers(1, code.k)
     queries = data.draw(
-        st.lists(st.lists(symbol, min_size=1, max_size=4), min_size=1, max_size=4)
+        st.lists(st.lists(symbol, min_size=1, max_size=6), min_size=1, max_size=4)
     )
     sums = subset_sum_table(code)
     planner = QueryPlanner(code, r)
@@ -249,6 +249,20 @@ def test_plan_is_reference_plan(code, r, data):
     assert all(
         len(planner.candidates(s)) <= planner_module._INITIAL_CAP
         for s in range(1, code.k + 1)
+    )
+
+
+def test_unservable_query_matches_reference_plan():
+    """An unservable query that a free-column bound and a positional cut
+    would prune 9 and 3 times: the search, which cuts only on the open
+    candidate count and its failed-state record, agrees with the
+    reference."""
+    code = LinearCode(column_matrix(3, [6, 7, 6, 3, 4, 5, 6, 4, 7]))
+    q = Query.parse("1,2,2,3,3")
+    plan = QueryPlanner(code).serve(q)
+    assert plan is None
+    assert str(plan) == str(
+        reference_plan(code, q.indices, None, subset_sum_table(code))
     )
 
 
