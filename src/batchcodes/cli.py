@@ -175,7 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bounds_p.add_argument("--k", type=int, required=True)
     bounds_p.add_argument("--d", type=int, required=True)
-    bounds_p.add_argument("--r", type=int, required=True)
+    bounds_p.add_argument(
+        "--r",
+        type=int,
+        required=True,
+        help="recovery-set size cap; also the all-symbol locality of the LRC rows",
+    )
     bounds_p.add_argument("--t", type=int, required=True)
     bounds_p.add_argument("--delta", type=int, default=1, help="availability")
     bounds_p.add_argument("--q", type=int, default=2, help="alphabet size")
@@ -212,13 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except BatchCodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (BatchCodeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -166,7 +166,9 @@ class QueryPlanner:
                 self._ensure(sym, _INITIAL_CAP)
             chosen = self._search(groups)
             if chosen is not None:
-                return self._build_plan(q, chosen)
+                # Sorted indices: positions 1..t run through the groups.
+                sets = (self._sets[s][i] for s, _ in groups for i in chosen[s])
+                return ServingPlan(tuple(enumerate(sets, 1)))
             starving = [s for s, _ in groups if self._cap[s] is not None]
             if not starving:
                 return None
@@ -329,9 +331,8 @@ class QueryPlanner:
         visits to it fail at once. Skipping a subtree known to hold no
         plan leaves every other node in its order, so the first plan
         found and a None verdict are the same as without the record.
-        It holds at most `_MEMO_LIMIT` states, and it is allocated on
-        the first failure, so a query served without backtracking out
-        of a group pays nothing for it.
+        It is made once per search and holds at most `_MEMO_LIMIT`
+        states.
         """
         infos = []
         for sym, cnt in sorted(
@@ -344,14 +345,14 @@ class QueryPlanner:
 
         chosen: dict[int, list[int]] = {}
         # failed[gi] holds used-column masks known to fail at group gi.
-        failed: list[set[int]] | None = None
+        failed: list[set[int]] = [set() for _ in infos]
         room = _MEMO_LIMIT
 
         def place(gi: int, used: int) -> bool:
-            nonlocal failed, room
+            nonlocal room
             if gi == len(infos):
                 return True
-            if failed is not None and used in failed[gi]:
+            if used in failed[gi]:
                 return False
             sym, cnt, masks, full, meets, nibbles = infos[gi]
             picks: list[int] = []
@@ -384,8 +385,6 @@ class QueryPlanner:
             if pick(cnt, used, full & ~clash):
                 return True
             if room:
-                if failed is None:
-                    failed = [set() for _ in infos]
                 failed[gi].add(used)
                 room -= 1
             return False
@@ -393,18 +392,6 @@ class QueryPlanner:
         if place(0, 0):
             return chosen
         return None
-
-    def _build_plan(self, q: Query, chosen: dict[int, list[int]]) -> ServingPlan:
-        positions: dict[int, list[int]] = {}
-        for pos, sym in enumerate(q.indices, 1):
-            positions.setdefault(sym, []).append(pos)
-        assignments = []
-        for sym, pos_list in positions.items():
-            sets = self._sets[sym]
-            for pos, ci in zip(pos_list, chosen[sym]):
-                assignments.append((pos, sets[ci]))
-        assignments.sort(key=lambda a: a[0])
-        return ServingPlan(tuple(assignments))
 
 
 def serve_query(

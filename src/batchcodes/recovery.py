@@ -217,15 +217,9 @@ def _minimal_sets(
     return out, truncated
 
 
-def max_disjoint_packing(
-    masks: Sequence[int], stop_at: int | None = None
-) -> int:
+def max_disjoint_packing(masks: Sequence[int]) -> int:
     """Exact maximum number of pairwise-disjoint sets among `masks`
     (column bitmasks), by branch and bound seeded with a greedy packing.
-
-    With `stop_at`, the search may stop early once that many disjoint
-    sets are known to exist; the return value is then only guaranteed
-    to be >= stop_at.
     """
     items = sorted((m for m in masks if m), key=lambda m: (m.bit_count(), m))
     if not items:
@@ -241,33 +235,27 @@ def max_disjoint_packing(
         if not m & used:
             used |= m
             best += 1
-    if stop_at is not None and best >= stop_at:
-        return best
 
     count = len(items)
 
-    def dfs(start: int, used: int, depth: int) -> bool:
+    def dfs(start: int, used: int, depth: int) -> None:
         nonlocal best
         if depth > best:
             best = depth
-            if stop_at is not None and best >= stop_at:
-                return True
         avail = [i for i in range(start, count) if not items[i] & used]
         # Beating `best` takes `need` more disjoint open sets. They fit
         # in the free columns only if the `need` smallest do, and those
         # are a prefix of `avail`, which is in size order.
         need = best - depth + 1
         if len(avail) < need:
-            return False
+            return
         free = (universe & ~used).bit_count()
         if sum(sizes[i] for i in avail[:need]) > free:
-            return False
+            return
         for pos, i in enumerate(avail):
             if depth + (len(avail) - pos) <= best:
                 break
-            if dfs(i + 1, used | items[i], depth + 1):
-                return True
-        return False
+            dfs(i + 1, used | items[i], depth + 1)
 
     dfs(0, 0, 0)
     return best

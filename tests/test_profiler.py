@@ -1,7 +1,9 @@
 """Exact parameter extraction: batch/PIR t, locality, availability."""
 
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,14 +13,17 @@ from batchcodes import (
     BitMatrix,
     LinearCode,
     NotSystematicError,
+    Query,
     QueryPlanner,
     batch_t,
     corollary_check,
     info_lrc_profile,
     lrc_profile,
+    min_length,
     paired_parity,
     pir_t,
     profile,
+    serve_query,
     simplex,
     subcube,
     triplicated_parity,
@@ -31,6 +36,8 @@ from oracles import (
     reference_servable_all,
     subset_sum_table,
 )
+
+README = Path(__file__).parent.parent / "README.md"
 
 # name -> (n, k, d, batch_t, pir_t, systematic), all at unbounded r.
 CORPUS_PARAMETERS = {
@@ -215,6 +222,32 @@ def test_profile_assembly():
     assert prof.info_symbol is None
     with pytest.raises(ValueError):
         profile(simplex(3), r_cap=0)
+
+
+def _readme_comments(first_line: str) -> dict[str, str]:
+    """{expression: stated value} for each `print(expression)  # value`
+    line of the README Python block that starts with `first_line`."""
+    text = README.read_text()
+    start = text.index(first_line)
+    block = text[start : text.index("```", start)]
+    return dict(re.findall(r"^print\((.+?)\)\s+# (.+)$", block, re.M))
+
+
+def test_readme_quickstart():
+    """The values README's library quickstart states are what it prints."""
+    prof = profile(simplex(3), r_cap=2)
+    plan = serve_query(simplex(3), Query((1, 1, 2, 2)))
+    assert _readme_comments("from batchcodes import simplex") == {
+        "prof.batch_t, prof.pir_t, prof.d": f"{prof.batch_t} {prof.pir_t} {prof.d}",
+        "prof.all_symbol.locality": str(prof.all_symbol.locality),
+        "prof.all_symbol.availability": str(prof.all_symbol.availability),
+        "plan": str(plan),
+    }
+    result = min_length(k=3, t=2)
+    assert _readme_comments("from batchcodes import min_length") == {
+        "result.optimal_n": str(result.optimal_n),
+        "result.redundancy": str(result.redundancy),
+    }
 
 
 def test_size_cap_never_raises_parameters():
