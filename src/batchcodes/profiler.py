@@ -11,11 +11,15 @@ position from a plan for it leaves a plan. So the batch sweep starts
 at t = pir_t and steps down only while a sweep fails; where batch_t
 equals pir_t, as it does for every named family, that is one sweep.
 
-Every target is enumerated at most once per analysis. A symbol's
-smallest recovery-set size comes from deepening the size cap from 1
-(`_min_size`), so its sets are then listed only up to the cap the
-profile needs. The information-symbol entries of `profile` are read off
-the query planner that already serves its batch and PIR sweeps.
+A minimal recovery set of column j that avoids j is, together with j,
+a circuit of the generator's column matroid. The repair profiles are
+read off one sweep over these circuits (`_circuit_sweep`), which
+enumerates each circuit once, however many target columns it holds.
+The same sweep gives every symbol's smallest set size: an uncapped one
+holds it outright, and a capped one is deepened until every symbol in
+some circuit has a set.
+The information-symbol entries of `profile` are read off the query
+planner that already serves its batch and PIR sweeps.
 Each batch sweep tests one query per orbit of interchangeable symbols
 (`QueryPlanner.servable_all`).
 """
@@ -116,44 +120,95 @@ def _batch(planner: QueryPlanner) -> int:
     return t
 
 
-def _min_size(
-    code: LinearCode, word: int, excluded: frozenset[int]
-) -> int | None:
-    """Smallest minimal recovery set for a nonzero target, by deepening
-    the size cap from 1: the first cap with a set is the answer. None
-    when no set of up to k columns exists, i.e. the target lies outside
-    the span of the allowed columns."""
-    target = BitVector(code.k, word)
-    for size in range(1, code.k + 1):
+def _coloops(code: LinearCode) -> int:
+    """Mask of the columns outside the span of the others, which no
+    circuit passes through. Column c is one exactly when some codeword
+    is nonzero at c alone; that word is then a row of the generator's
+    fully reduced echelon form (each row's lowest bit is its pivot, in
+    no other row)."""
+    rows: list[int] = []
+    for word in code.generator.row_words:
+        for row in rows:
+            if word & (row & -row):
+                word ^= row
+        low = word & -word  # nonzero: the generator has full rank
+        rows = [row ^ word if row & low else row for row in rows]
+        rows.append(word)
+    return sum(row for row in rows if row.bit_count() == 1)
+
+
+def _circuit_sweep(
+    code: LinearCode, columns: list[int], cap: int | None
+) -> list[list[int]]:
+    """For each target column c, the masks of the minimal recovery sets
+    of c's word that avoid c and have at most `cap` columns.
+
+    Such a set, together with c, is a circuit of the column matroid, so
+    each circuit is enumerated once, from the first target it contains:
+    target c's sets avoid c and every earlier target (not every earlier
+    column), and each circuit goes, less c', to every target c' in it.
+    The target columns must be nonzero.
+    """
+    slot = {c: t for t, c in enumerate(columns)}
+    found: list[list[int]] = [[] for _ in columns]
+    for t, c in enumerate(columns):
+        target = BitVector(code.k, code.column_words[c - 1])
         enum = enumerate_recovery_sets(
-            code, target, excluded=excluded, max_size=size, max_count=1
+            code, target, excluded=columns[: t + 1], max_size=cap
         )
-        if enum.sets:
-            return size
-    return None
+        for rs in enum.sets:
+            circuit = rs.column_mask() | 1 << (c - 1)
+            for j in (c, *rs.columns):
+                if j in slot:
+                    found[slot[j]].append(circuit ^ 1 << (j - 1))
+    return found
 
 
-def _symbol_entry(
+def _repair_profile(
     code: LinearCode,
-    index: int,
-    target_word: int,
-    excluded: frozenset[int],
-    cap: int | None,
-    min_size: int | None,
-) -> SymbolRecovery:
-    """Entry for a target whose smallest set size is already known:
-    one enumeration up to `cap`, and none when no set fits under it."""
-    if target_word == 0:
-        return SymbolRecovery(index, 0, None)
-    if min_size is None:
-        return SymbolRecovery(index, None, 0)
-    if cap is not None and min_size > cap:
-        return SymbolRecovery(index, min_size, 0)
-    enum = enumerate_recovery_sets(
-        code, BitVector(code.k, target_word), excluded=excluded, max_size=cap
-    )
-    masks = [rs.column_mask() for rs in enum.sets]
-    return SymbolRecovery(index, min_size, max_disjoint_packing(masks))
+    targets: list[tuple[int, int]],
+    r: int | None,
+    cap_at_locality: bool,
+) -> LrcProfile:
+    """Repair profile of (index, column) targets: a target's word is its
+    column's, and its recovery sets avoid that column.
+
+    The packing cap is r. With r=None it is unbounded, or, when
+    `cap_at_locality` and no nonzero target is a coloop, the locality.
+    An unbounded cap takes one uncapped circuit sweep. Otherwise the
+    sweep's cap deepens from r (from 1 for the locality) until every
+    target in some circuit has a set; that sweep then holds each
+    target's smallest set and every set up to the packing cap.
+    """
+    words = code.column_words
+    nonzero = [c for _, c in targets if words[c - 1]]
+    coloops = _coloops(code)
+    live = [c for c in nonzero if not coloops >> (c - 1) & 1]
+    cap = r
+    if r is None and (not cap_at_locality or len(live) < len(nonzero)):
+        sets = _circuit_sweep(code, live, None)
+    else:
+        size = r or 1
+        sets = _circuit_sweep(code, live, size)
+        while not all(sets):
+            size += 1
+            sets = _circuit_sweep(code, live, size)
+        if r is None:
+            cap = size
+    by_column = dict(zip(live, sets))
+    entries = []
+    for index, c in targets:
+        masks = by_column.get(c)
+        if not words[c - 1]:
+            entries.append(SymbolRecovery(index, 0, None))
+        elif masks is None:
+            entries.append(SymbolRecovery(index, None, 0))
+        else:
+            min_size = min(m.bit_count() for m in masks)
+            fit = [m for m in masks if cap is None or m.bit_count() <= cap]
+            packing = max_disjoint_packing(fit) if fit else 0
+            entries.append(SymbolRecovery(index, min_size, packing))
+    return _aggregate(cap, entries)
 
 
 def _aggregate(cap: int | None, entries: list[SymbolRecovery]) -> LrcProfile:
@@ -176,26 +231,13 @@ def lrc_profile(code: LinearCode, r: int | None = None) -> LrcProfile:
     With r=None the availability cap defaults to the code's own
     locality, pairing the two parameters the way a locality/availability
     claim is normally stated; pass an explicit r to cap differently.
-    Each symbol's smallest set size comes from deepening probes, and its
-    sets are enumerated once, up to the cap, for the packing number.
+    Sizes and packings come from one circuit sweep over all columns,
+    which lists each circuit once rather than once per column in it.
     """
     if r is not None and r < 1:
         raise ValueError(f"size cap r must be >= 1, got {r}")
-    targets = [
-        (j, w, frozenset((j,))) for j, w in enumerate(code.column_words, 1)
-    ]
-    sizes = [0 if w == 0 else _min_size(code, w, excl) for _, w, excl in targets]
-    if r is not None:
-        cap = r
-    elif None in sizes:
-        cap = None
-    else:
-        cap = max(sizes, default=0)
-    entries = [
-        _symbol_entry(code, j, w, excl, cap, size)
-        for (j, w, excl), size in zip(targets, sizes)
-    ]
-    return _aggregate(cap, entries)
+    targets = [(j, j) for j in range(1, code.n + 1)]
+    return _repair_profile(code, targets, r, cap_at_locality=True)
 
 
 def info_lrc_profile(
@@ -210,8 +252,8 @@ def info_lrc_profile(
 
     With the identity columns in play, the entries are exactly what a
     `QueryPlanner(code, r)` holds: its candidate lists and packing
-    numbers. include_self=False probes and enumerates each e_i the way
-    `lrc_profile` does.
+    numbers. include_self=False reads each e_i off one circuit sweep
+    over the identity columns, the way `lrc_profile` does over all.
     """
     if r is not None and r < 1:
         raise ValueError(f"size cap r must be >= 1, got {r}")
@@ -222,13 +264,9 @@ def info_lrc_profile(
         )
     if include_self:
         return _info_profile(QueryPlanner(code, r))
-    entries = []
-    for i in range(1, code.k + 1):
-        word = 1 << (i - 1)
-        excluded = frozenset((colmap[i],))
-        size = _min_size(code, word, excluded)
-        entries.append(_symbol_entry(code, i, word, excluded, r, size))
-    return _aggregate(r, entries)
+    return _repair_profile(
+        code, list(colmap.items()), r, cap_at_locality=False
+    )
 
 
 def _info_profile(planner: QueryPlanner) -> LrcProfile:

@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -353,3 +355,29 @@ class TestTopLevel:
         assert [code for code, _, _ in reused] == [0, 0]
         assert run(capsys, ["analyze"])[0] == 2
         assert run(capsys, calls[1]) == fresh[1]
+
+    def test_closed_stdout_is_quiet(self):
+        """A reader that leaves after the first line, as `| head -1`
+        does, gets no error line, and the broken pipe exits 141
+        (128 + SIGPIPE). The 160 kB matrix is more than a pipe holds,
+        so the writer is still writing when the reader goes."""
+        env = dict(os.environ)
+        # Unbuffered stdout drops what a partial write leaves over,
+        # with no error, so the child runs with the default buffering.
+        env.pop("PYTHONUNBUFFERED", None)
+        src = str(Path(__file__).parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        argv = ["construct", "identity", "--k", "400"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "batchcodes.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"400 400\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
