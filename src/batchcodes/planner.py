@@ -151,9 +151,11 @@ class QueryPlanner:
         Which plan is returned depends on how far the symbols' candidate
         lists have been enumerated: groups are placed in order of their
         current candidate counts, and a fresh list stops at the first
-        cap. So a planner warmed by `candidates`, `max_packing` or
-        earlier queries may return a different valid plan than a fresh
-        one. Only the verdict is independent of that history.
+        cap. So a planner warmed by `candidates`, `max_packing`,
+        `servable_all` (which completes every list) or earlier queries
+        may return a different valid plan than a fresh one. Only the
+        verdict is independent of that history. The lists themselves
+        are always in lexicographic order.
         """
         q = query if isinstance(query, Query) else Query(tuple(query))
         if q.indices[-1] > self._code.k:
@@ -227,9 +229,20 @@ class QueryPlanner:
         it is servable. Any subgroup of the symbol stabilizer gives a
         sound reduction; the classes give one that is cheap to find,
         where listing the whole stabilizer is not.
+
+        The queries are served on `_size_ordered`, a planner whose
+        complete candidate lists put the smallest sets first, so a plan
+        that exists is usually found after few picks. List order cannot
+        change a verdict: the search returns None only after ruling out
+        every disjoint choice of candidates, whatever their order, and
+        with complete lists no cap doubling is left to try. The
+        witness is the first failing query in the same sweep order, so
+        it cannot change either. This planner's own lists are left in
+        lexicographic order, and `serve` keeps its plans.
         """
         if t < 1:
             raise ValueError(f"t must be >= 1, got {t}")
+        view = self._size_ordered()
         steps = [
             (a, b)
             for cls in self.symbol_classes()
@@ -241,9 +254,27 @@ class QueryPlanner:
             if any(combo.count(a) < combo.count(b) for a, b in steps):
                 continue
             q = Query(combo)
-            if self.serve(q) is None:
+            if view.serve(q) is None:
                 return False, q
         return True, None
+
+    def _size_ordered(self) -> "QueryPlanner":
+        """A planner for the same code and cap whose candidate lists are
+        this planner's complete lists, stably sorted by set size (sets
+        of equal size stay in lexicographic order).
+
+        The view enumerates nothing itself. This planner's own lists
+        are not reordered, so its `serve` keeps its lexicographic plans.
+        """
+        view = QueryPlanner(self._code, self._r)
+        for sym in range(1, self._code.k + 1):
+            sets = self.candidates(sym)
+            masks = self._masks[sym]
+            order = sorted(range(len(sets)), key=lambda i: sets[i].size)
+            view._sets[sym] = tuple(sets[i] for i in order)
+            view._masks[sym] = [masks[i] for i in order]
+            view._cap[sym] = None
+        return view
 
     def _ensure(self, symbol: int, cap: int | None) -> None:
         if not 1 <= symbol <= self._code.k:

@@ -75,11 +75,12 @@ def column_matrix(k: int, columns: list[int]) -> BitMatrix:
 
 
 @st.composite
-def small_codes(draw):
-    """Full-rank generator matrices with k <= 4 and n <= 9, not
-    necessarily systematic; zero and repeated columns are allowed."""
-    k = draw(st.integers(1, 4))
-    n = draw(st.integers(k, 9))
+def small_codes(draw, k_max: int = 4, n_max: int = 9):
+    """Full-rank generator matrices with k <= k_max and n <= n_max, not
+    necessarily systematic; zero and repeated columns are allowed. The
+    defaults keep them within reach of the brute-force oracles."""
+    k = draw(st.integers(1, k_max))
+    n = draw(st.integers(k, n_max))
     columns = draw(
         st.lists(st.integers(0, (1 << k) - 1), min_size=n, max_size=n)
     )

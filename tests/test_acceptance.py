@@ -248,3 +248,19 @@ def test_criterion_13_uncapped_simplex5_pir_under_2s():
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"took {elapsed:.2f}s"
     print(f"criterion 13: simplex(5) packs 16 disjoint sets per symbol in {elapsed:.3f}s")
+
+
+def test_criterion_14_capped_subcube23_batch_under_5s():
+    start = time.perf_counter()
+    assert batch_t(subcube(2, 3), r=4) == 8
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"took {elapsed:.2f}s"
+    print(f"criterion 14: subcube(2,3) at r=4 serves every 8-query in {elapsed:.3f}s")
+
+
+def test_criterion_15_uncapped_subcube23_sweep_under_10s():
+    start = time.perf_counter()
+    assert QueryPlanner(subcube(2, 3)).servable_all(8) == (True, None)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"took {elapsed:.2f}s"
+    print(f"criterion 15: uncapped subcube(2,3) serves every 8-query in {elapsed:.3f}s")

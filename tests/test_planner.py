@@ -383,6 +383,61 @@ def test_sweep_matches_reference(code, r):
         assert got == reference_servable_all(code, t, r, sums), t
 
 
+def lexicographic_sweep(planner: QueryPlanner, t: int):
+    """The orbit-minimal queries of `servable_all`, in its order, each
+    served on `planner`'s own lexicographic candidate lists."""
+    steps = [
+        (a, b) for cls in planner.symbol_classes() for a, b in zip(cls, cls[1:])
+    ]
+    for combo in combinations_with_replacement(range(1, planner.code.k + 1), t):
+        if any(combo.count(a) < combo.count(b) for a, b in steps):
+            continue
+        if planner.serve(Query(combo)) is None:
+            return False, combo
+    return True, None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(code=small_codes(k_max=7, n_max=15), r=st.sampled_from([None, 2, 3]))
+def test_sweep_matches_lexicographic_sweep(code, r):
+    """On codes too large for the brute-force oracles, the size-ordered
+    sweep gives the verdict and witness of a sweep on the lexicographic
+    lists, for every t up to batch_t + 1."""
+    swept = QueryPlanner(code, r)
+    lex = QueryPlanner(code, r)
+    for t in range(1, batch_t(code, r) + 2):
+        ok, witness = swept.servable_all(t)
+        got = (ok, None if witness is None else witness.indices)
+        assert got == lexicographic_sweep(lex, t), t
+
+
+class TestPlannerState:
+    """A sweep leaves the planner's lists, and so its plans, as they were."""
+
+    @pytest.mark.parametrize("code, r", [(simplex(4), None), (subcube(2, 2), 3)])
+    def test_lists_stay_lexicographic(self, code, r):
+        planner = QueryPlanner(code, r)
+        planner.servable_all(code.k + 1)
+        for i in range(1, code.k + 1):
+            got = [rs.columns for rs in planner.candidates(i)]
+            assert got == sorted(got), i
+            assert len({len(c) for c in got}) > 1, i
+
+    def test_serve_after_sweep_matches_warm_planner(self):
+        code = simplex(4)
+        swept = QueryPlanner(code)
+        warm = QueryPlanner(code)
+        for i in range(1, code.k + 1):
+            warm.candidates(i)
+        rng = random.Random(3)
+        for t in (6, 7, 8):
+            swept.servable_all(t)
+            combos = list(combinations_with_replacement(range(1, code.k + 1), t))
+            for combo in rng.sample(combos, 20):
+                q = Query(combo)
+                assert str(swept.serve(q)) == str(warm.serve(q)), combo
+
+
 class TestPlanIsValid:
     def test_rejects_bad_plans(self):
         code = subcube(2, 1)
