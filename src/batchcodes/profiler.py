@@ -198,16 +198,13 @@ def _repair_profile(
     by_column = dict(zip(live, sets))
     entries = []
     for index, c in targets:
-        masks = by_column.get(c)
         if not words[c - 1]:
             entries.append(SymbolRecovery(index, 0, None))
-        elif masks is None:
-            entries.append(SymbolRecovery(index, None, 0))
-        else:
-            min_size = min(m.bit_count() for m in masks)
-            fit = [m for m in masks if cap is None or m.bit_count() <= cap]
-            packing = max_disjoint_packing(fit) if fit else 0
-            entries.append(SymbolRecovery(index, min_size, packing))
+            continue
+        masks = by_column.get(c, [])  # a coloop has none
+        min_size = min((m.bit_count() for m in masks), default=None)
+        fit = [m for m in masks if cap is None or m.bit_count() <= cap]
+        entries.append(SymbolRecovery(index, min_size, max_disjoint_packing(fit)))
     return _aggregate(cap, entries)
 
 

@@ -222,8 +222,6 @@ def max_disjoint_packing(masks: Sequence[int]) -> int:
     (column bitmasks), by branch and bound seeded with a greedy packing.
     """
     items = sorted((m for m in masks if m), key=lambda m: (m.bit_count(), m))
-    if not items:
-        return 0
     universe = 0
     for m in items:
         universe |= m
@@ -236,24 +234,21 @@ def max_disjoint_packing(masks: Sequence[int]) -> int:
             used |= m
             best += 1
 
-    count = len(items)
-
     def dfs(start: int, used: int, depth: int) -> None:
         nonlocal best
         if depth > best:
             best = depth
-        avail = [i for i in range(start, count) if not items[i] & used]
-        # Beating `best` takes `need` more disjoint open sets. They fit
-        # in the free columns only if the `need` smallest do, and those
-        # are a prefix of `avail`, which is in size order.
-        need = best - depth + 1
-        if len(avail) < need:
-            return
+        avail = [i for i in range(start, len(items)) if not items[i] & used]
         free = (universe & ~used).bit_count()
-        if sum(sizes[i] for i in avail[:need]) > free:
-            return
         for pos, i in enumerate(avail):
-            if depth + (len(avail) - pos) <= best:
+            # Beating `best` takes `need` more disjoint sets from avail[pos:].
+            # They fit in the free columns only if the `need` smallest do,
+            # a prefix, as `avail` is in size order. `best` can rise in any
+            # child, so the cut is retested before each branch, and once it
+            # fails it fails for every later branch.
+            need = best - depth + 1
+            rest = avail[pos : pos + need]
+            if len(rest) < need or sum(sizes[j] for j in rest) > free:
                 break
             dfs(i + 1, used | items[i], depth + 1)
 

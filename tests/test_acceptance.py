@@ -20,6 +20,7 @@ from batchcodes import (
     corollary_check,
     enumerate_recovery_sets,
     evaluate_all,
+    info_lrc_profile,
     lrc_profile,
     min_length,
     paired_parity,
@@ -264,3 +265,30 @@ def test_criterion_15_uncapped_subcube23_sweep_under_10s():
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
     print(f"criterion 15: uncapped subcube(2,3) serves every 8-query in {elapsed:.3f}s")
+
+
+def test_criterion_16_uncapped_subcube23_pir_under_10s():
+    start = time.perf_counter()
+    assert pir_t(subcube(2, 3)) == 8
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"took {elapsed:.2f}s"
+    print(f"criterion 16: uncapped subcube(2,3) packs 8 disjoint sets per symbol in {elapsed:.3f}s")
+
+
+def test_criterion_17_uncapped_subcube23_profile_under_15s():
+    start = time.perf_counter()
+    prof = profile(subcube(2, 3))
+    assert (prof.batch_t, prof.pir_t) == (8, 8)
+    assert (prof.all_symbol.locality, prof.all_symbol.availability) == (2, 3)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 15.0, f"took {elapsed:.2f}s"
+    print(f"criterion 17: uncapped subcube(2,3) profile in {elapsed:.3f}s")
+
+
+def test_criterion_18_strict_subcube23_info_availability_under_10s():
+    start = time.perf_counter()
+    prof = info_lrc_profile(subcube(2, 3), include_self=False)
+    assert prof.availability == 7
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"took {elapsed:.2f}s"
+    print(f"criterion 18: strict subcube(2,3) info availability 7 in {elapsed:.3f}s")

@@ -188,9 +188,11 @@ class TestMaxDisjointPacking:
         assert max_disjoint_packing([]) == 0
         assert max_disjoint_packing([0b1, 0b10, 0b100]) == 3
         assert max_disjoint_packing([0b11, 0b110, 0b101]) == 1
-        # Greedy by size alone would take {1} then be blocked at 2;
-        # the exact answer pairs {2,3} with {1}.
+        # A size-first greedy takes {1}, skips {1,2} and takes {2,3}.
         assert max_disjoint_packing([0b001, 0b110, 0b011]) == 2
+        # The greedy takes {1,2} and is blocked; the exact answer pairs
+        # {1,3} with {2,4}.
+        assert max_disjoint_packing([0b0011, 0b0101, 0b1010]) == 2
         assert max_disjoint_packing([0, 0b1]) == 1
 
     def test_matches_oracle_on_random_families(self):
