@@ -25,6 +25,7 @@ __all__ = [
     "BitVector",
     "BitMatrix",
     "LinearCode",
+    "PivotBasis",
     "rank",
     "parse_matrix",
     "format_matrix",
@@ -275,11 +276,65 @@ def format_matrix(matrix: BitMatrix, header: bool = True) -> str:
 _UNSET = object()
 
 
+@dataclass(frozen=True, eq=False)
+class PivotBasis:
+    """Coordinates of a code's columns over pivot columns.
+
+    One elimination from the last column to the first keeps column j as
+    a pivot when it lies outside the span of the columns after it, so
+    the pivots at columns >= j form a basis of the span of the columns
+    >= j. Every vector of the span then has a unique coordinate mask,
+    bit j-1 standing for the pivot at column j (the bit a column mask
+    over [n] uses for column j), and lies in the span of the columns
+    >= j exactly when its mask has no bit below j-1.
+    """
+
+    # low bit of a reduced word -> (that word, its coordinate mask)
+    pivots: dict[int, tuple[int, int]]
+    # coords[j-1] is the coordinate mask of column j (0 for a zero column)
+    coords: tuple[int, ...]
+    # coordinate mask -> 0-indexed positions of the nonzero columns with it
+    by_coord: dict[int, list[int]]
+
+    @classmethod
+    def from_columns(cls, words: Sequence[int]) -> "PivotBasis":
+        pivots: dict[int, tuple[int, int]] = {}
+        coords = [0] * len(words)
+        for i in range(len(words) - 1, -1, -1):
+            word, coord = words[i], 0
+            while word:
+                low = word & -word
+                if low not in pivots:
+                    pivots[low] = (word, coord | 1 << i)
+                    coord = 1 << i
+                    break
+                p_word, p_coord = pivots[low]
+                word ^= p_word
+                coord ^= p_coord
+            coords[i] = coord
+        by_coord: dict[int, list[int]] = {}
+        for i, coord in enumerate(coords):
+            if coord:
+                by_coord.setdefault(coord, []).append(i)
+        return cls(pivots, tuple(coords), by_coord)
+
+    def coordinates(self, word: int) -> int:
+        """Coordinate mask of `word`, which must lie in the span of the
+        columns (for a `LinearCode`, any length-k word does)."""
+        coord = 0
+        while word:
+            p_word, p_coord = self.pivots[word & -word]
+            word ^= p_word
+            coord ^= p_coord
+        return coord
+
+
 class LinearCode:
     """Linear [n, k] code over GF(2) given by a full-row-rank generator matrix.
 
-    Column lookups, the minimum distance, and the systematic column map
-    are computed once and cached; instances are otherwise immutable.
+    Column lookups, the pivot basis of the columns, the minimum
+    distance, and the systematic column map are computed once and
+    cached; instances are otherwise immutable.
     """
 
     def __init__(self, generator: BitMatrix):
@@ -289,6 +344,7 @@ class LinearCode:
             )
         self._generator = generator
         self._columns: tuple[int, ...] | None = None
+        self._basis: PivotBasis | None = None
         self._distance: int | None = None
         self._colmap: object = _UNSET
 
@@ -321,6 +377,14 @@ class LinearCode:
         if self._columns is None:
             self._columns = self._generator.column_words()
         return self._columns
+
+    @property
+    def pivot_basis(self) -> PivotBasis:
+        """The columns' pivot basis, which every recovery-set search of
+        this code runs on (see `recovery.minimal_set_masks`)."""
+        if self._basis is None:
+            self._basis = PivotBasis.from_columns(self.column_words)
+        return self._basis
 
     def column(self, j: int) -> BitVector:
         return self._generator.column(j)

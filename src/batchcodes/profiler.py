@@ -30,9 +30,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotSystematicError
-from .gf2 import BitVector, LinearCode
+from .gf2 import LinearCode
 from .planner import QueryPlanner
-from .recovery import enumerate_recovery_sets, max_disjoint_packing
+# perfbench/tracer.py patches `enumerate_recovery_sets` here by name.
+from .recovery import (  # noqa: F401
+    enumerate_recovery_sets,
+    max_disjoint_packing,
+    minimal_set_masks,
+)
 
 __all__ = [
     "SymbolRecovery",
@@ -149,18 +154,22 @@ def _circuit_sweep(
     column), and each circuit goes, less c', to every target c' in it.
     The target columns must be nonzero.
     """
-    slot = {c: t for t, c in enumerate(columns)}
+    words = code.column_words
+    slot = {1 << (c - 1): t for t, c in enumerate(columns)}
+    targets = sum(slot)
     found: list[list[int]] = [[] for _ in columns]
+    skip = 0
     for t, c in enumerate(columns):
-        target = BitVector(code.k, code.column_words[c - 1])
-        enum = enumerate_recovery_sets(
-            code, target, excluded=columns[: t + 1], max_size=cap
-        )
-        for rs in enum.sets:
-            circuit = rs.column_mask() | 1 << (c - 1)
-            for j in (c, *rs.columns):
-                if j in slot:
-                    found[slot[j]].append(circuit ^ 1 << (j - 1))
+        bit = 1 << (c - 1)
+        skip |= bit
+        masks, _ = minimal_set_masks(code, words[c - 1], skip, cap)
+        found[t].extend(masks)
+        for mask in masks:
+            rest = mask & targets
+            while rest:
+                low = rest & -rest
+                found[slot[low]].append((mask ^ low) | bit)
+                rest ^= low
     return found
 
 

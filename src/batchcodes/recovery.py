@@ -14,7 +14,14 @@ elimination from the last column to the first: a residual can still be
 completed from the columns at positions >= i exactly when its
 coordinate mask has no bit below i. So one lowest-bit test bounds each
 node's loop, and the last slot of a set is a lookup of the columns
-equal to the residual rather than a scan (see `_minimal_sets`).
+equal to the residual rather than a scan (see `minimal_set_masks`).
+
+Each code has one pivot basis, computed on first use and cached on the
+`LinearCode` (`LinearCode.pivot_basis`), so every search of the code,
+whatever its target, excluded columns or caps, runs on the same
+elimination. Excluded columns are a skip mask tested in the loop and in
+the last-slot lookup; excluding columns only removes completions, so
+the lowest-bit bound stays a necessary condition.
 """
 
 from __future__ import annotations
@@ -90,127 +97,114 @@ def enumerate_recovery_sets(
         )
     if target.is_zero():
         raise InvalidTargetError("recovery target must be nonzero")
-    banned = set(excluded)
-    for j in banned:
+    skip = 0
+    for j in excluded:
         if not 1 <= j <= code.n:
             raise DimensionError(f"excluded column {j} outside 1..{code.n}")
+        skip |= 1 << (j - 1)
     if max_size is not None and max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
     if max_count is not None and max_count < 1:
         raise ValueError(f"max_count must be >= 1, got {max_count}")
 
-    columns = [
-        (j, w)
-        for j, w in enumerate(code.column_words, 1)
-        if j not in banned and w != 0
-    ]
-    size_cap = code.k if max_size is None else min(max_size, code.k)
-    found, truncated = _minimal_sets(columns, target.word, size_cap, max_count)
-    sets = tuple(RecoverySet(target, cols) for cols in found)
+    masks, truncated = minimal_set_masks(
+        code, target.word, skip, max_size, max_count
+    )
+    sets = tuple(RecoverySet(target, _columns(m)) for m in masks)
     return RecoveryEnumeration(sets, truncated)
 
 
-def _minimal_sets(
-    columns: list[tuple[int, int]],
+def _columns(mask: int) -> tuple[int, ...]:
+    """Sorted 1-indexed columns of a column mask."""
+    columns = []
+    while mask:
+        low = mask & -mask
+        columns.append(low.bit_length())
+        mask ^= low
+    return tuple(columns)
+
+
+def minimal_set_masks(
+    code: LinearCode,
     target: int,
-    max_size: int,
-    max_count: int | None,
-) -> tuple[list[tuple[int, ...]], bool]:
-    """DFS over columns in index order. Minimal sets surface in preorder,
-    which is lexicographic order of the sorted index tuples.
+    skip: int,
+    max_size: int | None,
+    max_count: int | None = None,
+) -> tuple[list[int], bool]:
+    """Column masks of the minimal recovery sets of the nonzero length-k
+    word `target` that avoid the columns in the mask `skip` and have at
+    most `max_size` columns (None: k), in lexicographic order of their
+    sorted column tuples; the flag says more than `max_count` exist.
 
-    The search runs in coordinates over pivot columns. One elimination
-    from the last column to the first keeps column i as a pivot when it
-    lies outside the span of columns[i+1:], so the pivots at positions
-    >= i form a basis of span(columns[i:]). Every vector of the span
-    then has a unique coordinate mask, bit p standing for pivot p, and
-    lies in span(columns[i:]) exactly when its mask has no bit below i.
-    A residual can thus be completed from columns[idx:] only while idx
-    is at most the position of its lowest set bit, which bounds the loop.
-    When one slot is left, only columns equal to the residual complete
-    a set; they are looked up by coordinate, and their independence
-    from the path is tested once, since they are all the same vector.
+    DFS over the columns in index order, on the code's pivot basis
+    (`LinearCode.pivot_basis`): minimal sets surface in preorder, which
+    is lexicographic order. A residual can be completed from the columns
+    at positions >= idx only while idx is at most the position of its
+    lowest set bit, which bounds the loop; skipped columns only remove
+    completions, so the bound still holds. A column's own coordinate
+    mask has no bit below its position, so the bound also covers the
+    last slot, and a branch whose child would have an empty range is
+    not entered. When one slot is left, only columns equal to the
+    residual complete a set; they are looked up by coordinate, and their
+    independence from the path is tested once, since they are all the
+    same vector.
     """
-    # basis: low bit of a reduced word -> (word, its coordinate mask).
-    basis: dict[int, tuple[int, int]] = {}
-    coords = [0] * len(columns)
-    for i in range(len(columns) - 1, -1, -1):
-        word, coord = columns[i][1], 0
-        while word:
-            low = word & -word
-            if low not in basis:
-                basis[low] = (word, coord | 1 << i)
-                coord = 1 << i
-                break
-            b_word, b_coord = basis[low]
-            word ^= b_word
-            coord ^= b_coord
-        coords[i] = coord
-    word, target_coord = target, 0
-    while word:
-        low = word & -word
-        if low not in basis:
-            return [], False  # target outside the span of the columns
-        b_word, b_coord = basis[low]
-        word ^= b_word
-        target_coord ^= b_coord
-
-    ids = [j for j, _ in columns]
-    by_coord: dict[int, list[int]] = {}
-    for idx, coord in enumerate(coords):
-        by_coord.setdefault(coord, []).append(idx)
-
+    basis = code.pivot_basis
+    coords, by_coord = basis.coords, basis.by_coord
     hard_cap = None if max_count is None else max_count + 1
-    out: list[tuple[int, ...]] = []
-    path: list[int] = []
-    # Low-bit basis of the path's coordinate masks.
+    out: list[int] = []
+    # Low-bit basis of the path's coordinate masks, one entry per column.
     path_span: dict[int, int] = {}
-    last = max_size - 1
+    last = (code.k if max_size is None else min(max_size, code.k)) - 1
 
-    def dfs(start: int, residual: int) -> bool:
+    def dfs(start: int, residual: int, used: int) -> bool:
         # Returns True when the hard cap is reached and search must stop.
-        if len(path) == last:
+        if len(path_span) == last:
             cur = residual
             while cur:
-                low = cur & -cur
-                if low not in path_span:
+                row = path_span.get(cur & -cur)
+                if row is None:
                     break
-                cur ^= path_span[low]
+                cur ^= row
             else:
                 return False  # the completing column depends on the path
             for idx in by_coord.get(residual, ()):
-                if idx < start:
+                if idx < start or skip >> idx & 1:
                     continue
-                out.append(tuple(path) + (ids[idx],))
+                out.append(used | 1 << idx)
                 if len(out) == hard_cap:
                     return True
             return False
         # Past the lowest set bit of `residual`, no completion remains.
         for idx in range(start, (residual & -residual).bit_length()):
+            if skip >> idx & 1:
+                continue
             coord = coords[idx]
             reduced = coord
             while reduced:
                 low = reduced & -reduced
-                if low not in path_span:
+                row = path_span.get(low)
+                if row is None:
                     break
-                reduced ^= path_span[low]
+                reduced ^= row
             else:
                 continue  # dependent on the current path: never minimal
             if coord == residual:
-                out.append(tuple(path) + (ids[idx],))
+                out.append(used | 1 << idx)
                 if len(out) == hard_cap:
                     return True
                 continue  # supersets of a recovery set are dependent
-            path.append(ids[idx])
+            rest = residual ^ coord
+            if (rest & -rest).bit_length() <= idx + 1:
+                continue  # the child's bound leaves it nothing to try
             path_span[low] = reduced
-            stop = dfs(idx + 1, residual ^ coord)
+            stop = dfs(idx + 1, rest, used | 1 << idx)
             del path_span[low]
-            path.pop()
             if stop:
                 return True
         return False
 
-    dfs(0, target_coord)
+    dfs(0, basis.coordinates(target), 0)
     truncated = hard_cap is not None and len(out) == hard_cap
     if truncated:
         out.pop()

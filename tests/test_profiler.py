@@ -17,6 +17,7 @@ from batchcodes import (
     Query,
     QueryPlanner,
     batch_t,
+    build_report,
     corollary_check,
     info_lrc_profile,
     lrc_profile,
@@ -31,6 +32,7 @@ from batchcodes import (
     subcube,
     triplicated_parity,
 )
+from batchcodes.gf2 import PivotBasis
 from conftest import column_matrix, random_systematic, small_codes, symmetric_codes
 from oracles import (
     brute_max_packing,
@@ -340,15 +342,15 @@ def test_profiles_match_reference(code, r):
     assert _as_tuple(info_lrc_profile(code, r, include_self=False)) == want
 
 
-def _counting_enumerations(calls: list):
-    """Stand-in for `profiler.enumerate_recovery_sets` that records, per
-    call, the size cap it was given and the number of sets it found."""
-    real = profiler.enumerate_recovery_sets
+def _counting_searches(calls: list):
+    """Stand-in for `profiler.minimal_set_masks` that records, per call,
+    the size cap it was given and the number of sets it found."""
+    real = profiler.minimal_set_masks
 
-    def counting(*args, **kwargs):
-        enum = real(*args, **kwargs)
-        calls.append((kwargs.get("max_size"), len(enum.sets)))
-        return enum
+    def counting(code, target, skip, max_size, max_count=None):
+        masks, truncated = real(code, target, skip, max_size, max_count)
+        calls.append((max_size, len(masks)))
+        return masks, truncated
 
     return counting
 
@@ -380,7 +382,7 @@ def test_circuit_sweep_lists_each_circuit_once(code, r):
     for columns in readings:
         calls: list = []
         with patch.object(
-            profiler, "enumerate_recovery_sets", _counting_enumerations(calls)
+            profiler, "minimal_set_masks", _counting_searches(calls)
         ):
             found = profiler._circuit_sweep(code, columns, r)
         circuits = set()
@@ -403,10 +405,10 @@ def test_circuit_sweep_lists_each_circuit_once(code, r):
 )
 def test_unbounded_cap_sweeps_once(code, monkeypatch):
     """An unbounded cap takes one uncapped sweep, with no deepening
-    first: at most one enumeration per target."""
+    first: at most one search per target."""
     calls: list = []
     monkeypatch.setattr(
-        profiler, "enumerate_recovery_sets", _counting_enumerations(calls)
+        profiler, "minimal_set_masks", _counting_searches(calls)
     )
     if profiler._coloops(code):
         assert lrc_profile(code).cap is None
@@ -416,3 +418,27 @@ def test_unbounded_cap_sweeps_once(code, monkeypatch):
     assert info_lrc_profile(code, include_self=False).cap is None
     assert 0 < len(calls) <= code.k
     assert {size for size, _ in calls} == {None}
+
+
+def test_one_pivot_basis_per_code(monkeypatch):
+    """Every recovery-set search of one code instance shares one
+    elimination: the planner's symbols, the deepening sweeps of the
+    all-symbol profile, the strict info sweep, whose exclusions are not
+    a prefix, and the report's fresh planner with its cap doubling
+    (e_1 of simplex(4) has 92 sets; eight copies of it need more than
+    the first 64)."""
+    builds: list = []
+    real = PivotBasis.from_columns.__func__
+
+    def counting(cls, words):
+        builds.append(words)
+        return real(cls, words)
+
+    monkeypatch.setattr(PivotBasis, "from_columns", classmethod(counting))
+    code = simplex(4)
+    profile(code)
+    info_lrc_profile(code, 2, include_self=False)
+    queries = (Query((1, 1, 2, 2)), Query((1,) * 8))
+    report = build_report(code, "simplex(4)", None, queries)
+    assert all(outcome.plan is not None for outcome in report.plans)
+    assert builds == [code.column_words]

@@ -11,9 +11,12 @@ from batchcodes import (
     DimensionError,
     InvalidTargetError,
     LinearCode,
+    Query,
     RecoverySet,
+    build_report,
     enumerate_recovery_sets,
     max_disjoint_packing,
+    report_to_dict,
     simplex,
     subcube,
 )
@@ -172,6 +175,60 @@ def test_matches_oracle_prefix(call):
     got = as_tuples(enum)
     assert got == want[:max_count]
     assert enum.truncated == (len(want) > len(got))
+
+
+@st.composite
+def warm_code_sessions(draw):
+    """One code, a sequence of enumeration calls on it (targets,
+    excluded sets and both caps mixed), and an analysis to run after
+    them: a cap and a few queries."""
+    code = draw(small_codes())
+    calls = draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, (1 << code.k) - 1),
+                st.frozensets(st.integers(1, code.n)),
+                st.sampled_from([None, *range(1, code.k + 1)]),
+                st.sampled_from([None, 1, 2, 3, 4]),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    r_cap = draw(st.sampled_from([None, 1, 2, 3]))
+    queries = draw(
+        st.lists(
+            st.lists(st.integers(1, code.k), min_size=1, max_size=3),
+            max_size=3,
+        )
+    )
+    return code, calls, r_cap, tuple(Query(tuple(q)) for q in queries)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(session=warm_code_sessions())
+def test_warm_code_matches_oracle(session):
+    """Every call on one code instance runs on its one cached pivot
+    basis. Each call still equals the brute-force sets, so no earlier
+    call's exclusions or caps leak into a later one, and an analysis of
+    the warm instance renders the same report as one of a fresh copy."""
+    code, calls, r_cap, queries = session
+    sums = subset_sum_table(code)
+    for word, excluded, max_size, max_count in calls:
+        enum = enumerate_recovery_sets(
+            code,
+            BitVector(code.k, word),
+            excluded=excluded,
+            max_size=max_size,
+            max_count=max_count,
+        )
+        want = brute_minimal_recovery_sets(code, word, excluded, max_size, sums)
+        assert as_tuples(enum) == want[:max_count]
+        assert enum.truncated == (len(want) > len(enum))
+    warm = report_to_dict(build_report(code, "code", r_cap, queries))
+    fresh_code = LinearCode(code.generator)
+    fresh = report_to_dict(build_report(fresh_code, "code", r_cap, queries))
+    assert warm == fresh
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
