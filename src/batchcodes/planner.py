@@ -16,7 +16,12 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidQueryError
 from .gf2 import BitVector, LinearCode
-from .recovery import RecoverySet, enumerate_recovery_sets, max_disjoint_packing
+from .recovery import (
+    RecoveryEnumeration,
+    RecoverySet,
+    enumerate_recovery_sets,
+    max_disjoint_packing,
+)
 
 __all__ = [
     "Query",
@@ -54,6 +59,13 @@ class Query:
                 f"symbol indices are 1-based, got {canonical[0]}"
             )
         object.__setattr__(self, "indices", canonical)
+
+    def check_within(self, k: int) -> None:
+        """Reject a query naming a symbol above k."""
+        if self.indices[-1] > k:
+            raise InvalidQueryError(
+                f"query index {self.indices[-1]} exceeds k = {k}"
+            )
 
     @classmethod
     def parse(cls, text: str) -> "Query":
@@ -104,11 +116,16 @@ class QueryPlanner:
 
     Candidate recovery sets and packing numbers are enumerated per
     symbol on demand and reused across queries, so sweeping all queries
-    of a given size shares the expensive enumeration work. Each
-    candidate list also gets conflict bitsets over its candidate
-    indices (see `_conflicts`), built on first use and dropped whenever
-    the list is enumerated again, so the plan search tests disjointness
-    with a few integer operations per node instead of a scan.
+    of a given size shares the expensive enumeration work. Each symbol
+    has one record, the `RecoveryEnumeration` of its current list: the
+    plan search, the conflict tables and the packing read its column
+    masks, a list is cut exactly when it is `truncated`, and its
+    `RecoverySet`s are decoded only when a plan or `candidates` returns
+    them. Each candidate list also gets conflict bitsets over its
+    candidate indices (see `_conflicts`), built on first use and
+    dropped whenever the list is enumerated again, so the plan search
+    tests disjointness with a few integer operations per node instead
+    of a scan.
     """
 
     def __init__(self, code: LinearCode, r: int | None = None):
@@ -116,12 +133,9 @@ class QueryPlanner:
             raise ValueError(f"size cap r must be >= 1, got {r}")
         self._code = code
         self._r = r
-        self._sets: dict[int, tuple[RecoverySet, ...]] = {}
-        self._masks: dict[int, list[int]] = {}
+        self._lists: dict[int, RecoveryEnumeration] = {}
         # symbol -> (full, meets, nibbles); see _conflicts.
         self._tables: dict[int, tuple[int, list[int], list[list[int]]]] = {}
-        # Cap the enumeration stopped at; None once it is complete.
-        self._cap: dict[int, int | None] = {}
         self._packing: dict[int, int] = {}
         self._classes: tuple[tuple[int, ...], ...] | None = None
 
@@ -136,13 +150,15 @@ class QueryPlanner:
     def candidates(self, symbol: int) -> tuple[RecoverySet, ...]:
         """Complete list of minimal recovery sets for e_symbol within the cap."""
         self._ensure(symbol, None)
-        return self._sets[symbol]
+        return self._lists[symbol].sets
 
     def max_packing(self, symbol: int) -> int:
         """Exact maximum number of pairwise-disjoint recovery sets for e_symbol."""
         if symbol not in self._packing:
             self._ensure(symbol, None)
-            self._packing[symbol] = max_disjoint_packing(self._masks[symbol])
+            self._packing[symbol] = max_disjoint_packing(
+                self._lists[symbol].masks
+            )
         return self._packing[symbol]
 
     def serve(self, query: Query | Iterable[int]) -> ServingPlan | None:
@@ -158,10 +174,7 @@ class QueryPlanner:
         are always in lexicographic order.
         """
         q = query if isinstance(query, Query) else Query(tuple(query))
-        if q.indices[-1] > self._code.k:
-            raise InvalidQueryError(
-                f"query index {q.indices[-1]} exceeds k = {self._code.k}"
-            )
+        q.check_within(self._code.k)
         groups = q.counts()
         while True:
             for sym, _ in groups:
@@ -169,15 +182,14 @@ class QueryPlanner:
             chosen = self._search(groups)
             if chosen is not None:
                 # Sorted indices: positions 1..t run through the groups.
-                sets = (self._sets[s][i] for s, _ in groups for i in chosen[s])
+                lists = self._lists
+                sets = (lists[s].sets[i] for s, _ in groups for i in chosen[s])
                 return ServingPlan(tuple(enumerate(sets, 1)))
-            starving = [s for s, _ in groups if self._cap[s] is not None]
+            starving = [s for s, _ in groups if self._lists[s].truncated]
             if not starving:
                 return None
             for sym in starving:
-                cap = self._cap[sym]
-                assert cap is not None
-                self._ensure(sym, cap * 2)
+                self._ensure(sym, 2 * len(self._lists[sym]))
 
     def symbol_classes(self) -> tuple[tuple[int, ...], ...]:
         """Classes of interchangeable symbols, ascending, covering 1..k.
@@ -268,12 +280,10 @@ class QueryPlanner:
         """
         view = QueryPlanner(self._code, self._r)
         for sym in range(1, self._code.k + 1):
-            sets = self.candidates(sym)
-            masks = self._masks[sym]
-            order = sorted(range(len(sets)), key=lambda i: sets[i].size)
-            view._sets[sym] = tuple(sets[i] for i in order)
-            view._masks[sym] = [masks[i] for i in order]
-            view._cap[sym] = None
+            self._ensure(sym, None)
+            enum = self._lists[sym]
+            masks = tuple(sorted(enum.masks, key=int.bit_count))
+            view._lists[sym] = RecoveryEnumeration(enum.target, masks, False)
         return view
 
     def _ensure(self, symbol: int, cap: int | None) -> None:
@@ -281,20 +291,18 @@ class QueryPlanner:
             raise InvalidQueryError(
                 f"symbol {symbol} outside 1..{self._code.k}"
             )
-        known = self._cap.get(symbol, 0)
-        if known is None:
+        # A cut list holds exactly the cap it was enumerated at.
+        known = self._lists.get(symbol)
+        if known is not None and (
+            not known.truncated or cap is not None and len(known) >= cap
+        ):
             return
-        if cap is not None and known >= cap:
-            return
-        enum = enumerate_recovery_sets(
+        self._lists[symbol] = enumerate_recovery_sets(
             self._code,
             BitVector.unit(self._code.k, symbol),
             max_size=self._r,
             max_count=cap,
         )
-        self._sets[symbol] = enum.sets
-        self._masks[symbol] = [rs.column_mask() for rs in enum.sets]
-        self._cap[symbol] = cap if enum.truncated else None
         self._tables.pop(symbol, None)
 
     def _conflicts(self, symbol: int) -> tuple[int, list[int], list[list[int]]]:
@@ -310,7 +318,7 @@ class QueryPlanner:
         """
         table = self._tables.get(symbol)
         if table is None:
-            masks = self._masks[symbol]
+            masks = self._lists[symbol].masks
             touch = [0] * (4 * ((self._code.n + 3) // 4))
             for i, mask in enumerate(masks):
                 bit = 1 << i
@@ -367,9 +375,9 @@ class QueryPlanner:
         """
         infos = []
         for sym, cnt in sorted(
-            groups, key=lambda g: (len(self._masks[g[0]]), g[0])
+            groups, key=lambda g: (len(self._lists[g[0]]), g[0])
         ):
-            masks = self._masks[sym]
+            masks = self._lists[sym].masks
             if len(masks) < cnt:
                 return None
             infos.append((sym, cnt, masks, *self._conflicts(sym)))

@@ -127,19 +127,18 @@ def _batch(planner: QueryPlanner) -> int:
 
 def _coloops(code: LinearCode) -> int:
     """Mask of the columns outside the span of the others, which no
-    circuit passes through. Column c is one exactly when some codeword
-    is nonzero at c alone; that word is then a row of the generator's
-    fully reduced echelon form (each row's lowest bit is its pivot, in
-    no other row)."""
-    rows: list[int] = []
-    for word in code.generator.row_words:
-        for row in rows:
-            if word & (row & -row):
-                word ^= row
-        low = word & -word  # nonzero: the generator has full rank
-        rows = [row ^ word if row & low else row for row in rows]
-        rows.append(word)
-    return sum(row for row in rows if row.bit_count() == 1)
+    circuit passes through, read off the code's pivot basis.
+
+    A zero column is a circuit by itself, and a nonzero non-pivot
+    column forms a circuit with the pivots of its coordinate mask.
+    These fundamental circuits span the cycle space, and over GF(2)
+    every cycle is a disjoint union of circuits, so a column lies in
+    some circuit exactly when it lies in one of these.
+    """
+    in_circuit = 0
+    for i, coord in enumerate(code.pivot_basis.coords):
+        in_circuit |= coord ^ 1 << i  # 0 for a pivot column
+    return ((1 << code.n) - 1) & ~in_circuit
 
 
 def _circuit_sweep(
@@ -256,9 +255,9 @@ def info_lrc_profile(
     removes column sigma(i) from play, the strict repair reading. r=None
     leaves set sizes unbounded.
 
-    With the identity columns in play, the entries are exactly what a
-    `QueryPlanner(code, r)` holds: its candidate lists and packing
-    numbers. include_self=False reads each e_i off one circuit sweep
+    With the identity columns in play, every smallest set has size 1
+    and the packings are those of a `QueryPlanner(code, r)`.
+    include_self=False reads each e_i off one circuit sweep
     over the identity columns, the way `lrc_profile` does over all.
     """
     if r is not None and r < 1:
@@ -277,13 +276,11 @@ def info_lrc_profile(
 
 def _info_profile(planner: QueryPlanner) -> LrcProfile:
     """Info-symbol profile (identity columns in play) of a systematic
-    code at the planner's cap, read off the planner's candidates."""
+    code at the planner's cap, read off the planner's packings. Every
+    smallest set has size 1: the identity column of e_i is one, under
+    any cap."""
     entries = [
-        SymbolRecovery(
-            i,
-            min(rs.size for rs in planner.candidates(i)),
-            planner.max_packing(i),
-        )
+        SymbolRecovery(i, 1, planner.max_packing(i))
         for i in range(1, planner.code.k + 1)
     ]
     return _aggregate(planner.r, entries)

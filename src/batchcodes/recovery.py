@@ -22,11 +22,17 @@ whatever its target, excluded columns or caps, runs on the same
 elimination. Excluded columns are a skip mask tested in the loop and in
 the last-slot lookup; excluding columns only removes completions, so
 the lowest-bit bound stays a necessary condition.
+
+Sets stay column masks, as the search finds them, until a caller asks
+for `RecoverySet`s: `RecoveryEnumeration.sets` decodes its masks the
+first time it is read. The planner searches and packs on the masks and
+decodes only the lists it returns plans or candidates from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, InvalidTargetError
@@ -64,16 +70,28 @@ class RecoverySet:
 
 @dataclass(frozen=True)
 class RecoveryEnumeration:
-    """Enumeration result; `truncated` means more sets exist beyond the cap."""
+    """Minimal recovery sets of one target.
 
-    sets: tuple[RecoverySet, ...]
+    `masks` are the sets' column masks (bit j-1 for column j), in
+    lexicographic order of their sorted column tuples; `truncated`
+    means more sets exist beyond the count cap. `sets` holds the same
+    sets as `RecoverySet`s, decoded on first read; iteration runs over
+    `sets`, and `len` counts `masks`.
+    """
+
+    target: BitVector
+    masks: tuple[int, ...]
     truncated: bool
+
+    @cached_property
+    def sets(self) -> tuple[RecoverySet, ...]:
+        return tuple(RecoverySet(self.target, _columns(m)) for m in self.masks)
 
     def __iter__(self):
         return iter(self.sets)
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.masks)
 
 
 def enumerate_recovery_sets(
@@ -110,8 +128,7 @@ def enumerate_recovery_sets(
     masks, truncated = minimal_set_masks(
         code, target.word, skip, max_size, max_count
     )
-    sets = tuple(RecoverySet(target, _columns(m)) for m in masks)
-    return RecoveryEnumeration(sets, truncated)
+    return RecoveryEnumeration(target, tuple(masks), truncated)
 
 
 def _columns(mask: int) -> tuple[int, ...]:

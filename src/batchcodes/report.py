@@ -50,6 +50,9 @@ def build_report(
     r_cap: int | None = None,
     queries: tuple[Query, ...] = (),
 ) -> AnalysisReport:
+    # Reject a bad query before the profile, which can take minutes.
+    for q in queries:
+        q.check_within(code.k)
     prof = profile(code, r_cap)
     verdicts = tuple(evaluate_all(prof))
     # A fresh planner, not the one inside `profile`: a planner whose

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import batchcodes.report as report_module
 from batchcodes import Query, QueryPlanner, format_matrix, simplex, subcube
 from batchcodes.cli import build_parser, main
 
@@ -145,6 +146,20 @@ class TestAnalyze:
         )
         assert code == 0
         assert out == shown
+
+    def test_bad_query_rejected_before_profile(self, capsys, monkeypatch, tmp_path):
+        # An uncapped profile of simplex(5) runs for minutes; a query
+        # naming a symbol above k is a usage error that must not wait.
+        def no_profile(*args, **kwargs):
+            raise AssertionError("profile ran before the query check")
+
+        monkeypatch.setattr(report_module, "profile", no_profile)
+        path = tmp_path / "simplex5.txt"
+        path.write_text(format_matrix(simplex(5).generator))
+        code, out, err = run(capsys, ["analyze", str(path), "--query", "1,9"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: query index 9 exceeds k = 5\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, out, err = run(capsys, ["analyze", str(tmp_path / "nope.txt")])

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -436,6 +437,49 @@ class TestPlannerState:
             for combo in rng.sample(combos, 20):
                 q = Query(combo)
                 assert str(swept.serve(q)) == str(warm.serve(q)), combo
+
+
+class TestDecoding:
+    """The planner works on column masks. It builds `RecoverySet`s only
+    for the lists it returns sets from, and decodes each list once."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        # (target word, columns) -> RecoverySets built with them
+        counts: Counter = Counter()
+        init = RecoverySet.__init__
+
+        def counting(self, target, columns):
+            counts[target.word, columns] += 1
+            init(self, target, columns)
+
+        monkeypatch.setattr(RecoverySet, "__init__", counting)
+        return counts
+
+    def test_packing_builds_no_sets(self, built):
+        planner = QueryPlanner(simplex(4))
+        assert [planner.max_packing(i) for i in range(1, 5)] == [8] * 4
+        assert not built
+
+    def test_sweep_decodes_each_list_once(self, built):
+        assert QueryPlanner(simplex(4)).servable_all(8) == (True, None)
+        assert built and max(built.values()) == 1
+
+    def test_warm_serves_decode_each_list_once(self, built):
+        code = simplex(4)
+        planner = QueryPlanner(code)
+        for i in range(1, code.k + 1):
+            planner.max_packing(i)
+        for combo in combinations_with_replacement((1, 2), 6):
+            assert planner.serve(Query(combo)) is not None
+        assert {word for word, _ in built} == {0b01, 0b10}
+        assert max(built.values()) == 1
+        total = sum(len(planner.candidates(i)) for i in (1, 2))
+        assert sum(built.values()) == total
+
+    def test_candidates_are_kept(self):
+        planner = QueryPlanner(simplex(3))
+        assert planner.candidates(2) is planner.candidates(2)
 
 
 class TestPlanIsValid:

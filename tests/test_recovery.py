@@ -225,6 +225,8 @@ def test_warm_code_matches_oracle(session):
         want = brute_minimal_recovery_sets(code, word, excluded, max_size, sums)
         assert as_tuples(enum) == want[:max_count]
         assert enum.truncated == (len(want) > len(enum))
+        assert list(enum.masks) == [rs.column_mask() for rs in enum.sets]
+        assert len(enum) == len(enum.sets)
     warm = report_to_dict(build_report(code, "code", r_cap, queries))
     fresh_code = LinearCode(code.generator)
     fresh = report_to_dict(build_report(fresh_code, "code", r_cap, queries))
