@@ -85,8 +85,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         value = getattr(args, name)
         if value is None:
             flags = " and ".join(f"--{p}" for p in needed)
-            print(f"error: {args.family} requires {flags}", file=sys.stderr)
-            return 2
+            raise ValueError(f"{args.family} requires {flags}")
         values.append(value)
     code = builder(*values)
     sys.stdout.write(format_matrix(code.generator))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -273,9 +274,6 @@ def format_matrix(matrix: BitMatrix, header: bool = True) -> str:
     return "\n".join(lines) + "\n"
 
 
-_UNSET = object()
-
-
 @dataclass(frozen=True, eq=False)
 class PivotBasis:
     """Coordinates of a code's columns over pivot columns.
@@ -287,6 +285,14 @@ class PivotBasis:
     bit j-1 standing for the pivot at column j (the bit a column mask
     over [n] uses for column j), and lies in the span of the columns
     >= j exactly when its mask has no bit below j-1.
+
+    `coloops` masks the columns outside the span of the others, which
+    no circuit of the column matroid passes through. A zero column is a
+    circuit by itself, and a nonzero non-pivot column forms a circuit
+    with the pivots of its coordinate mask. These fundamental circuits
+    span the cycle space, and over GF(2) every cycle is a disjoint
+    union of circuits, so a column lies in some circuit exactly when it
+    lies in one of these.
     """
 
     # low bit of a reduced word -> (that word, its coordinate mask)
@@ -295,11 +301,14 @@ class PivotBasis:
     coords: tuple[int, ...]
     # coordinate mask -> 0-indexed positions of the nonzero columns with it
     by_coord: dict[int, list[int]]
+    # bit j-1 set when column j is a coloop
+    coloops: int
 
     @classmethod
     def from_columns(cls, words: Sequence[int]) -> "PivotBasis":
         pivots: dict[int, tuple[int, int]] = {}
         coords = [0] * len(words)
+        in_circuit = 0
         for i in range(len(words) - 1, -1, -1):
             word, coord = words[i], 0
             while word:
@@ -312,11 +321,13 @@ class PivotBasis:
                 word ^= p_word
                 coord ^= p_coord
             coords[i] = coord
+            in_circuit |= coord ^ 1 << i  # 0 for a pivot column
         by_coord: dict[int, list[int]] = {}
         for i, coord in enumerate(coords):
             if coord:
                 by_coord.setdefault(coord, []).append(i)
-        return cls(pivots, tuple(coords), by_coord)
+        coloops = ((1 << len(words)) - 1) & ~in_circuit
+        return cls(pivots, tuple(coords), by_coord, coloops)
 
     def coordinates(self, word: int) -> int:
         """Coordinate mask of `word`, which must lie in the span of the
@@ -338,15 +349,13 @@ class LinearCode:
     """
 
     def __init__(self, generator: BitMatrix):
-        if rank(generator) != generator.k:
+        found = rank(generator)
+        if found != generator.k:
             raise RankDeficiencyError(
-                f"generator matrix has rank {rank(generator)} < k = {generator.k}"
+                f"generator matrix has rank {found} < k = {generator.k}"
             )
         self._generator = generator
-        self._columns: tuple[int, ...] | None = None
-        self._basis: PivotBasis | None = None
         self._distance: int | None = None
-        self._colmap: object = _UNSET
 
     @classmethod
     def from_rows(cls, rows: Sequence[Iterable[int]]) -> "LinearCode":
@@ -372,19 +381,15 @@ class LinearCode:
     def rate(self) -> Fraction:
         return Fraction(self.k, self.n)
 
-    @property
+    @cached_property
     def column_words(self) -> tuple[int, ...]:
-        if self._columns is None:
-            self._columns = self._generator.column_words()
-        return self._columns
+        return self._generator.column_words()
 
-    @property
+    @cached_property
     def pivot_basis(self) -> PivotBasis:
         """The columns' pivot basis, which every recovery-set search of
         this code runs on (see `recovery.minimal_set_masks`)."""
-        if self._basis is None:
-            self._basis = PivotBasis.from_columns(self.column_words)
-        return self._basis
+        return PivotBasis.from_columns(self.column_words)
 
     def column(self, j: int) -> BitVector:
         return self._generator.column(j)
@@ -426,26 +431,26 @@ class LinearCode:
             self._distance = best
         return self._distance
 
+    @cached_property
+    def _identity_columns(self) -> dict[int, int] | None:
+        cols = self.column_words
+        mapping: dict[int, int] = {}
+        for i in range(1, self.k + 1):
+            try:
+                mapping[i] = cols.index(1 << (i - 1)) + 1
+            except ValueError:
+                return None
+        return mapping
+
     def identity_column_map(self) -> dict[int, int] | None:
         """Map i -> smallest column j with g_j = e_i, or None if some e_i
         never occurs as a column."""
-        if self._colmap is _UNSET:
-            mapping: dict[int, int] | None = {}
-            cols = self.column_words
-            for i in range(1, self.k + 1):
-                unit = 1 << (i - 1)
-                j = next((j for j, c in enumerate(cols, 1) if c == unit), None)
-                if j is None:
-                    mapping = None
-                    break
-                mapping[i] = j
-            self._colmap = mapping
-        found = self._colmap
-        return dict(found) if isinstance(found, dict) else None
+        found = self._identity_columns
+        return None if found is None else dict(found)
 
     @property
     def is_systematic(self) -> bool:
-        return self.identity_column_map() is not None
+        return self._identity_columns is not None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearCode):

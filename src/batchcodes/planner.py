@@ -9,6 +9,7 @@ one, and shrinking a set in a valid plan keeps the plan valid.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -19,6 +20,7 @@ from .gf2 import BitVector, LinearCode
 from .recovery import (
     RecoveryEnumeration,
     RecoverySet,
+    check_cap,
     enumerate_recovery_sets,
     max_disjoint_packing,
 )
@@ -43,14 +45,18 @@ _MEMO_LIMIT = 256
 
 @dataclass(frozen=True)
 class Query:
-    """Multiset of requested information symbols, stored sorted (canonical)."""
+    """Multiset of requested information symbols, stored sorted (canonical).
+
+    Indices must be integers (`operator.index`): 1.7, 2.0 and "2" are
+    rejected, not truncated or converted. `parse` reads query text.
+    """
 
     indices: tuple[int, ...]
 
     def __post_init__(self):
         try:
-            canonical = tuple(sorted(int(i) for i in self.indices))
-        except (TypeError, ValueError) as exc:
+            canonical = tuple(sorted(operator.index(i) for i in self.indices))
+        except TypeError as exc:
             raise InvalidQueryError(f"query indices must be integers: {exc}")
         if not canonical:
             raise InvalidQueryError("query must request at least one symbol")
@@ -129,10 +135,8 @@ class QueryPlanner:
     """
 
     def __init__(self, code: LinearCode, r: int | None = None):
-        if r is not None and r < 1:
-            raise ValueError(f"size cap r must be >= 1, got {r}")
         self._code = code
-        self._r = r
+        self._r = check_cap("r", r)
         self._lists: dict[int, RecoveryEnumeration] = {}
         # symbol -> (full, meets, nibbles); see _conflicts.
         self._tables: dict[int, tuple[int, list[int], list[list[int]]]] = {}
@@ -206,7 +210,7 @@ class QueryPlanner:
             k = self._code.k
             cols = self._code.column_words
             ordered = sorted(cols)
-            weight = [sum((c >> i) & 1 for c in cols) for i in range(k)]
+            weight = [w.bit_count() for w in self._code.generator.row_words]
             classes = []
             left = list(range(k))
             while left:

@@ -34,6 +34,7 @@ from .gf2 import LinearCode
 from .planner import QueryPlanner
 # perfbench/tracer.py patches `enumerate_recovery_sets` here by name.
 from .recovery import (  # noqa: F401
+    check_cap,
     enumerate_recovery_sets,
     max_disjoint_packing,
     minimal_set_masks,
@@ -125,22 +126,6 @@ def _batch(planner: QueryPlanner) -> int:
     return t
 
 
-def _coloops(code: LinearCode) -> int:
-    """Mask of the columns outside the span of the others, which no
-    circuit passes through, read off the code's pivot basis.
-
-    A zero column is a circuit by itself, and a nonzero non-pivot
-    column forms a circuit with the pivots of its coordinate mask.
-    These fundamental circuits span the cycle space, and over GF(2)
-    every cycle is a disjoint union of circuits, so a column lies in
-    some circuit exactly when it lies in one of these.
-    """
-    in_circuit = 0
-    for i, coord in enumerate(code.pivot_basis.coords):
-        in_circuit |= coord ^ 1 << i  # 0 for a pivot column
-    return ((1 << code.n) - 1) & ~in_circuit
-
-
 def _circuit_sweep(
     code: LinearCode, columns: list[int], cap: int | None
 ) -> list[list[int]]:
@@ -190,7 +175,7 @@ def _repair_profile(
     """
     words = code.column_words
     nonzero = [c for _, c in targets if words[c - 1]]
-    coloops = _coloops(code)
+    coloops = code.pivot_basis.coloops
     live = [c for c in nonzero if not coloops >> (c - 1) & 1]
     cap = r
     if r is None and (not cap_at_locality or len(live) < len(nonzero)):
@@ -239,8 +224,7 @@ def lrc_profile(code: LinearCode, r: int | None = None) -> LrcProfile:
     Sizes and packings come from one circuit sweep over all columns,
     which lists each circuit once rather than once per column in it.
     """
-    if r is not None and r < 1:
-        raise ValueError(f"size cap r must be >= 1, got {r}")
+    r = check_cap("r", r)
     targets = [(j, j) for j in range(1, code.n + 1)]
     return _repair_profile(code, targets, r, cap_at_locality=True)
 
@@ -260,8 +244,7 @@ def info_lrc_profile(
     include_self=False reads each e_i off one circuit sweep
     over the identity columns, the way `lrc_profile` does over all.
     """
-    if r is not None and r < 1:
-        raise ValueError(f"size cap r must be >= 1, got {r}")
+    r = check_cap("r", r)
     colmap = code.identity_column_map()
     if colmap is None:
         raise NotSystematicError(
@@ -311,8 +294,7 @@ def profile(code: LinearCode, r_cap: int | None = None) -> CodeProfile:
     """Everything at once: distance, batch/PIR parameters at r_cap,
     all-symbol profile at the code's locality, info-symbol profile at
     r_cap when systematic."""
-    if r_cap is not None and r_cap < 1:
-        raise ValueError(f"size cap r_cap must be >= 1, got {r_cap}")
+    r_cap = check_cap("r_cap", r_cap)
     planner = QueryPlanner(code, r_cap)
     pir = _pir(planner)
     batch = _batch(planner)

@@ -31,6 +31,7 @@ decodes only the lists it returns plans or candidates from.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -41,6 +42,7 @@ from .gf2 import BitVector, LinearCode
 __all__ = [
     "RecoverySet",
     "RecoveryEnumeration",
+    "check_cap",
     "enumerate_recovery_sets",
     "max_disjoint_packing",
 ]
@@ -72,11 +74,13 @@ class RecoverySet:
 class RecoveryEnumeration:
     """Minimal recovery sets of one target.
 
-    `masks` are the sets' column masks (bit j-1 for column j), in
-    lexicographic order of their sorted column tuples; `truncated`
+    `masks` are the sets' column masks (bit j-1 for column j), in the
+    order of whoever built the record: lexicographic order of their
+    sorted column tuples from `enumerate_recovery_sets`, by size in the
+    planner's sweep view (`QueryPlanner._size_ordered`). `truncated`
     means more sets exist beyond the count cap. `sets` holds the same
-    sets as `RecoverySet`s, decoded on first read; iteration runs over
-    `sets`, and `len` counts `masks`.
+    sets as `RecoverySet`s, in the same order, decoded on first read;
+    iteration runs over `sets`, and `len` counts `masks`.
     """
 
     target: BitVector
@@ -120,11 +124,8 @@ def enumerate_recovery_sets(
         if not 1 <= j <= code.n:
             raise DimensionError(f"excluded column {j} outside 1..{code.n}")
         skip |= 1 << (j - 1)
-    if max_size is not None and max_size < 1:
-        raise ValueError(f"max_size must be >= 1, got {max_size}")
-    if max_count is not None and max_count < 1:
-        raise ValueError(f"max_count must be >= 1, got {max_count}")
-
+    max_size = check_cap("max_size", max_size)
+    max_count = check_cap("max_count", max_count)
     masks, truncated = minimal_set_masks(
         code, target.word, skip, max_size, max_count
     )
@@ -139,6 +140,24 @@ def _columns(mask: int) -> tuple[int, ...]:
         columns.append(low.bit_length())
         mask ^= low
     return tuple(columns)
+
+
+def check_cap(name: str, value: int | None) -> int | None:
+    """`value` checked as a size or count cap: None (no cap) or an
+    integer >= 1 is returned, anything else raises ValueError naming
+    the parameter `name`.
+
+    Every public entry point that takes a cap checks it here: the
+    search below stops at depth `max_size` and at `max_count` + 1 sets
+    by equality, so a fractional cap would never stop it.
+    """
+    try:
+        cap = None if value is None else operator.index(value)
+    except TypeError:
+        cap = 0  # not an integer
+    if cap is not None and cap < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return cap
 
 
 def minimal_set_masks(

@@ -26,6 +26,7 @@ from .constructions import _code_from_columns
 from .errors import CapacityError
 from .gf2 import LinearCode, reverse_bits
 from .planner import QueryPlanner
+from .recovery import check_cap
 
 __all__ = ["SearchResult", "min_length", "redundancy_table"]
 
@@ -88,8 +89,7 @@ def min_length(
         raise ValueError(f"k must be >= 1, got {k}")
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    if r_cap is not None and r_cap < 1:
-        raise ValueError(f"r_cap must be >= 1, got {r_cap}")
+    r_cap = check_cap("r_cap", r_cap)
     if k > max_k:
         raise CapacityError(f"k = {k} exceeds the search guard max_k = {max_k}")
     if n_max is None:

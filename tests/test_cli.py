@@ -47,7 +47,7 @@ class TestConstruct:
     def test_missing_parameter(self, capsys):
         code, out, err = run(capsys, ["construct", "subcube", "--ell", "2"])
         assert code == 2
-        assert "requires" in err
+        assert (out, err) == ("", "error: subcube requires --ell and --m\n")
 
     def test_unknown_family(self, capsys):
         code, out, err = run(capsys, ["construct", "hamming", "--k", "3"])
@@ -385,14 +385,14 @@ class TestTopLevel:
             p for p in (src, env.get("PYTHONPATH")) if p
         )
         argv = ["construct", "identity", "--k", "400"]
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "batchcodes.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
-        )
-        assert proc.stdout.readline() == b"400 400\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 141
+        ) as proc:
+            assert proc.stdout.readline() == b"400 400\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
         assert err == b""

@@ -233,6 +233,8 @@ class TestLinearCode:
         # e_1 first appears as column 2, e_2 as column 1.
         assert code.identity_column_map() == {1: 2, 2: 1}
         assert code.is_systematic
+        # Callers get a copy: changing it leaves the cached map alone.
+        code.identity_column_map()[1] = 3
         assert code.identity_column_map() == {1: 2, 2: 1}
 
     def test_not_systematic(self):

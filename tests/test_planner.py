@@ -67,6 +67,11 @@ class TestQuery:
                 Query.parse(text)
         with pytest.raises(InvalidQueryError):
             Query(())
+        for bad in (1.7, 2.0, "2"):
+            with pytest.raises(InvalidQueryError):
+                Query((bad, 2))
+        with pytest.raises(InvalidQueryError):
+            serve_query(simplex(3), [2.9])
 
 
 class TestServingPlan:
@@ -219,8 +224,11 @@ class TestServe:
         assert serve_all() == want
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            QueryPlanner(subcube(2, 1), r=0)
+        for bad in (0, 1.5, "2"):
+            with pytest.raises(ValueError):
+                QueryPlanner(subcube(2, 1), r=bad)
+            with pytest.raises(ValueError):
+                serve_query(simplex(3), (1, 1, 1), bad)
         with pytest.raises(ValueError):
             QueryPlanner(subcube(2, 1)).servable_all(0)
 

@@ -141,8 +141,9 @@ class TestLrcProfile:
     def test_explicit_cap(self):
         lp = lrc_profile(subcube(2, 1), r=1)
         assert (lp.cap, lp.locality, lp.availability) == (1, 2, 0)
-        with pytest.raises(ValueError):
-            lrc_profile(subcube(2, 1), r=0)
+        for bad in (0, 1.5, "2"):
+            with pytest.raises(ValueError):
+                lrc_profile(subcube(2, 1), r=bad)
 
     def test_matches_oracle(self, corpus):
         for name, code in corpus:
@@ -189,8 +190,11 @@ class TestInfoLrcProfile:
     def test_requires_systematic(self):
         with pytest.raises(NotSystematicError):
             info_lrc_profile(triplicated_parity(3))
-        with pytest.raises(ValueError):
-            info_lrc_profile(paired_parity(4), r=0)
+        for bad in (0, 1.5, "2"):
+            with pytest.raises(ValueError):
+                info_lrc_profile(paired_parity(4), r=bad)
+            with pytest.raises(ValueError):
+                info_lrc_profile(paired_parity(4), r=bad, include_self=False)
 
     def test_non_identity_column_map(self):
         # Systematic via permuted columns: e_1 lives at column 2.
@@ -225,8 +229,10 @@ def test_profile_assembly():
     assert prof.info_symbol is not None and prof.info_symbol.cap == 2
     prof = profile(triplicated_parity(3))
     assert prof.info_symbol is None
-    with pytest.raises(ValueError):
-        profile(simplex(3), r_cap=0)
+    for bad in (0, 1.5, "2"):
+        for entry in (profile, pir_t, batch_t):
+            with pytest.raises(ValueError):
+                entry(simplex(3), bad)
 
 
 def _readme_comments(first_line: str) -> dict[str, str]:
@@ -370,7 +376,7 @@ def test_circuit_sweep_lists_each_circuit_once(code, r):
     targets exactly once."""
     sums = subset_sum_table(code)
     words = code.column_words
-    coloops = profiler._coloops(code)
+    coloops = code.pivot_basis.coloops
     for j in range(1, code.n + 1):
         rows = tuple(w & ~(1 << (j - 1)) for w in code.generator.row_words)
         dropped = rank(BitMatrix(code.n, rows)) < code.k
@@ -410,7 +416,7 @@ def test_unbounded_cap_sweeps_once(code, monkeypatch):
     monkeypatch.setattr(
         profiler, "minimal_set_masks", _counting_searches(calls)
     )
-    if profiler._coloops(code):
+    if code.pivot_basis.coloops:
         assert lrc_profile(code).cap is None
         assert 0 < len(calls) <= code.n
         assert {size for size, _ in calls} == {None}

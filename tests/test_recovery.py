@@ -126,10 +126,11 @@ class TestEnumeration:
             enumerate_recovery_sets(code, BitVector.unit(3, 1))
         with pytest.raises(DimensionError):
             enumerate_recovery_sets(code, BitVector.unit(2, 1), excluded=(4,))
-        with pytest.raises(ValueError):
-            enumerate_recovery_sets(code, BitVector.unit(2, 1), max_size=0)
-        with pytest.raises(ValueError):
-            enumerate_recovery_sets(code, BitVector.unit(2, 1), max_count=0)
+        for bad in (0, 1.5, 2.5, "2"):
+            with pytest.raises(ValueError):
+                enumerate_recovery_sets(code, BitVector.unit(2, 1), max_size=bad)
+            with pytest.raises(ValueError):
+                enumerate_recovery_sets(code, BitVector.unit(2, 1), max_count=bad)
 
 
 def _code(k: int, columns: list[int]) -> LinearCode:

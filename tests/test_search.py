@@ -95,8 +95,9 @@ class TestMinLength:
             min_length(2, 0)
         with pytest.raises(ValueError):
             min_length(2, 2, mode="best")
-        with pytest.raises(ValueError):
-            min_length(2, 2, r_cap=0)
+        for bad in (0, 1.5, "2"):
+            with pytest.raises(ValueError):
+                min_length(2, 2, r_cap=bad)
         with pytest.raises(ValueError):
             min_length(2, 2, n_max=1)
 
