@@ -18,6 +18,7 @@ from typing import Mapping
 
 from .errors import InsufficientDataError, NotApplicableError
 from .profiler import CodeProfile
+from .recovery import check_int
 
 __all__ = [
     "BoundVerdict",
@@ -59,8 +60,7 @@ def _ceil_div(a: int, b: int) -> int:
 
 def _require_positive(**params: int) -> None:
     for name, value in params.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+        check_int(name, value)
 
 
 def singleton(k: int, d: int) -> int:
@@ -85,11 +85,9 @@ def wang_zhang(k: int, d: int, r: int, delta: int) -> int:
 def plotkin_batch(n: int, k: int, t: int, q: int = 2) -> BoundVerdict:
     """q^k <= floor(qt / (qt - (q-1)n)), applicable only when qt > (q-1)n;
     attained means equality."""
-    _require_positive(n=n, k=k, q=q)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
+    _require_positive(n=n, k=k)
+    t = check_int("t", t, least=0)
+    q = check_int("q", q, least=2)
     slack = q * t - (q - 1) * n
     witness = {"t": t, "q": q}
     if slack <= 0:
@@ -250,10 +248,8 @@ def evaluate_bounds(
     length row is attained when its rhs equals n. With n None the
     cardinality row is skipped and no row is attained.
     """
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    q = check_int("q", q, least=2)
+    t = check_int("t", t, least=0)
     out: list[BoundVerdict] = []
 
     def length(name: str, rhs: int, witness: dict[str, int] | None = None) -> None:

@@ -18,6 +18,7 @@ from .bounds import evaluate_bounds
 from .errors import BatchCodeError
 from .gf2 import LinearCode, format_matrix, parse_matrix
 from .planner import Query, QueryPlanner
+from .recovery import check_int
 from .report import (
     build_report,
     bounds_to_dicts,
@@ -101,8 +102,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     # The table reads t = 0 as a code that serves no batch and skips
     # the rows that need t; asked for outright, t = 0 is an input error.
-    if args.t < 1:
-        raise ValueError(f"t must be >= 1, got {args.t}")
+    check_int("t", args.t)
     verdicts = evaluate_bounds(
         args.n, args.k, args.d, args.t, args.r, args.r, args.delta,
         args.systematic, args.q,

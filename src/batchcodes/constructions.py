@@ -12,6 +12,7 @@ from typing import Sequence
 
 from .errors import CapacityError
 from .gf2 import BitMatrix, LinearCode, reverse_bits
+from .recovery import check_int
 
 __all__ = [
     "identity",
@@ -36,8 +37,7 @@ def _code_from_columns(k: int, columns: Sequence[int]) -> LinearCode:
 
 def identity(k: int) -> LinearCode:
     """[k, k, 1] code storing each symbol once, no redundancy."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = check_int("k", k)
     return _code_from_columns(k, [1 << i for i in range(k)])
 
 
@@ -50,10 +50,8 @@ def subcube(ell: int, m: int) -> LinearCode:
     b_j <= ell pins a_j = b_j, coordinate b_j = ell+1 sums over all of
     a_j, so each column stores a subarray sum. k = ell^m, n = (ell+1)^m.
     """
-    if ell < 2:
-        raise ValueError(f"ell must be >= 2, got {ell}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    ell = check_int("ell", ell, least=2)
+    m = check_int("m", m)
     k = ell**m
     if k > 24:
         raise CapacityError(
@@ -77,8 +75,7 @@ def simplex(m: int) -> LinearCode:
     increasing integer value, reading bit 1 of the value as row m and
     the top bit as row 1.
     """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    m = check_int("m", m, least=2)
     if m > 12:
         raise CapacityError(f"simplex(m={m}) exceeds the guard m <= 12")
     columns = [1 << i for i in range(m)]
@@ -96,8 +93,7 @@ def triplicated_parity(k: int) -> LinearCode:
     parity; x_k is never stored alone, only inside the parity column.
     n = 3k.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    k = check_int("k", k, least=2)
     block = [1 << i for i in range(k - 1)] + [(1 << k) - 1]
     return _code_from_columns(k, block * 3)
 
@@ -109,8 +105,7 @@ def blockwise_subcube_allones(kappa: int) -> LinearCode:
     columns; the final column sums every symbol. k = 2*kappa,
     n = 3*kappa + 1.
     """
-    if kappa < 1:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
+    kappa = check_int("kappa", kappa)
     if kappa > 12:
         raise CapacityError(
             f"blockwise_subcube_allones(kappa={kappa}) exceeds the guard kappa <= 12"
@@ -130,8 +125,7 @@ def paired_parity(k: int) -> LinearCode:
     leftover symbol x_k is stored a second time instead of paired.
     n = k + ceil(k/2), d = 2.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    k = check_int("k", k, least=2)
     columns = [1 << i for i in range(k)]
     for j in range(0, k - 1, 2):
         columns.append(0b11 << j)

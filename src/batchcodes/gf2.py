@@ -211,7 +211,7 @@ def parse_matrix(text: str) -> BitMatrix:
 
     first_no, first = entries[0]
     tokens = first.split()
-    header_like = len(tokens) == 2 and all(t.isdigit() for t in tokens)
+    header_like = len(tokens) == 2 and all(t.isascii() and t.isdigit() for t in tokens)
     # A first line containing digits other than 0/1 can only be a header.
     must_be_header = header_like and any(c not in _ROW_CHARS for c in first)
 

@@ -21,6 +21,7 @@ from .recovery import (
     RecoveryEnumeration,
     RecoverySet,
     check_cap,
+    check_int,
     enumerate_recovery_sets,
     max_disjoint_packing,
 )
@@ -256,8 +257,7 @@ class QueryPlanner:
         it cannot change either. This planner's own lists are left in
         lexicographic order, and `serve` keeps its plans.
         """
-        if t < 1:
-            raise ValueError(f"t must be >= 1, got {t}")
+        t = check_int("t", t)
         view = self._size_ordered()
         steps = [
             (a, b)

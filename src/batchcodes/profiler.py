@@ -35,6 +35,7 @@ from .planner import QueryPlanner
 # perfbench/tracer.py patches `enumerate_recovery_sets` here by name.
 from .recovery import (  # noqa: F401
     check_cap,
+    check_int,
     enumerate_recovery_sets,
     max_disjoint_packing,
     minimal_set_masks,
@@ -202,16 +203,10 @@ def _repair_profile(
 
 
 def _aggregate(cap: int | None, entries: list[SymbolRecovery]) -> LrcProfile:
-    locality: int | None = 0
-    for e in entries:
-        if e.min_size is None:
-            locality = None
-            break
-        if locality is not None and e.min_size > locality:
-            locality = e.min_size
+    sizes = [e.min_size for e in entries]
+    locality = None if None in sizes else max(sizes, default=0)
     packings = [e.packing for e in entries if e.packing is not None]
-    availability = min(packings) if packings else 0
-    return LrcProfile(cap, locality, availability, tuple(entries))
+    return LrcProfile(cap, locality, min(packings, default=0), tuple(entries))
 
 
 def lrc_profile(code: LinearCode, r: int | None = None) -> LrcProfile:
@@ -280,8 +275,7 @@ def corollary_check(
     independently; returns whether they agree (always True unless
     something is broken).
     """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    t = check_int("t", t)
     if not code.is_systematic:
         raise NotSystematicError("corollary_check requires a systematic code")
     lhs = pir_t(code, r) >= t

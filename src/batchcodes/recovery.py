@@ -43,6 +43,7 @@ __all__ = [
     "RecoverySet",
     "RecoveryEnumeration",
     "check_cap",
+    "check_int",
     "enumerate_recovery_sets",
     "max_disjoint_packing",
 ]
@@ -142,22 +143,29 @@ def _columns(mask: int) -> tuple[int, ...]:
     return tuple(columns)
 
 
-def check_cap(name: str, value: int | None) -> int | None:
-    """`value` checked as a size or count cap: None (no cap) or an
-    integer >= 1 is returned, anything else raises ValueError naming
-    the parameter `name`.
+def check_int(name: str, value: int, least: int = 1) -> int:
+    """`value` checked as a size or count parameter: an integer >= `least`
+    is returned (as `operator.index` gives it), anything else raises
+    ValueError naming the parameter `name`.
 
-    Every public entry point that takes a cap checks it here: the
-    search below stops at depth `max_size` and at `max_count` + 1 sets
-    by equality, so a fractional cap would never stop it.
+    Every public entry point checks its sizes and counts here: the
+    paper's parameters and bounds are integers, and the search below
+    stops at depth `max_size` and at `max_count` + 1 sets by equality,
+    so a fractional cap would never stop it.
     """
     try:
-        cap = None if value is None else operator.index(value)
+        number = operator.index(value)
     except TypeError:
-        cap = 0  # not an integer
-    if cap is not None and cap < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return cap
+        number = None
+    if number is None or number < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return number
+
+
+def check_cap(name: str, value: int | None) -> int | None:
+    """`value` checked as a size or count cap: None (no cap), or an
+    integer >= 1 as `check_int` checks it."""
+    return None if value is None else check_int(name, value)
 
 
 def minimal_set_masks(

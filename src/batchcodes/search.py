@@ -26,7 +26,7 @@ from .constructions import _code_from_columns
 from .errors import CapacityError
 from .gf2 import LinearCode, reverse_bits
 from .planner import QueryPlanner
-from .recovery import check_cap
+from .recovery import check_cap, check_int
 
 __all__ = ["SearchResult", "min_length", "redundancy_table"]
 
@@ -85,17 +85,14 @@ def min_length(
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    k = check_int("k", k)
+    t = check_int("t", t)
     r_cap = check_cap("r_cap", r_cap)
     if k > max_k:
         raise CapacityError(f"k = {k} exceeds the search guard max_k = {max_k}")
     if n_max is None:
         n_max = k + max_slack
-    if n_max < k:
-        raise ValueError(f"n_max = {n_max} is below k = {k}")
+    n_max = check_int("n_max", n_max, least=k)
     if n_max - k > max_slack:
         raise CapacityError(
             f"n_max - k = {n_max - k} exceeds the search guard max_slack = {max_slack}"
@@ -178,10 +175,8 @@ def redundancy_table(
     """min_length for every (k, t) in [1, k_max] x [1, t_max], each swept
     up to n = k + n_slack. Entries that found nothing stay in the table
     as not-found rows (rendered as unknown)."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    k_max = check_int("k_max", k_max)
+    t_max = check_int("t_max", t_max)
     rows = []
     for k in range(1, k_max + 1):
         for t in range(1, t_max + 1):

@@ -10,6 +10,7 @@ from batchcodes import (
     InsufficientDataError,
     NotApplicableError,
     evaluate_all,
+    evaluate_bounds,
     gopalan_lrc,
     identity,
     lrc_profile,
@@ -34,6 +35,26 @@ class TestClosedForms:
         assert singleton(1, 1) == 1
         with pytest.raises(ValueError):
             singleton(0, 1)
+        # Every closed form takes integers >= 1 and names the one it
+        # rejects.
+        forms = [
+            (singleton, "k d"),
+            (gopalan_lrc, "k d r"),
+            (wang_zhang, "k d r delta"),
+            (zs_base, "k d r t"),
+            (zs_best, "k d r t"),
+            (zs_systematic, "k d r t"),
+            (zs_refined, "k d r t"),
+        ]
+        for form, names in forms:
+            params = names.split()
+            for i, name in enumerate(params):
+                message = f"^{name} must be an integer >= 1,"
+                for bad in (0, 1.5, "2"):
+                    args = [3] * len(params)
+                    args[i] = bad
+                    with pytest.raises(ValueError, match=message):
+                        form(*args)
 
     def test_gopalan(self):
         assert gopalan_lrc(4, 4, 2) == 8
@@ -113,6 +134,23 @@ class TestPlotkin:
             plotkin_batch(3, 2, -1)
         with pytest.raises(ValueError):
             plotkin_batch(3, 2, 2, q=1)
+        # A fractional t would otherwise read as an applicable row (rhs 4
+        # at t = 4.5).
+        limits = [("n", 1), ("k", 1), ("t", 0), ("q", 2)]
+        for i, (name, least) in enumerate(limits):
+            message = f"^{name} must be an integer >= {least},"
+            for bad in (least - 1, 1.5, 4.5, "2"):
+                args = [7, 3, 4, 2]
+                args[i] = bad
+                with pytest.raises(ValueError, match=message):
+                    plotkin_batch(*args)
+        # The bound table checks its own t and q by the same rule.
+        for bad in (-1, 1.5, "2"):
+            with pytest.raises(ValueError, match="^t must be an integer >= 0,"):
+                evaluate_bounds(7, 3, 4, bad, 2, 2, 1, False)
+        for bad in (1, 2.5, "2"):
+            with pytest.raises(ValueError, match="^q must be an integer >= 2,"):
+                evaluate_bounds(7, 3, 4, 4, 2, 2, 1, False, bad)
 
 
 def grid_refined(k, d, r, t):
@@ -174,6 +212,11 @@ class TestRedundancyBound:
     def test_validation(self):
         with pytest.raises(ValueError):
             redundancy_bound(0, 2, {})
+        for bad in (0, 1.5, "2"):
+            with pytest.raises(ValueError, match="^k must be an integer >= 1"):
+                redundancy_bound(bad, 2, {})
+            with pytest.raises(ValueError, match="^t must be an integer >= 1"):
+                redundancy_bound(2, bad, {})
 
 
 class TestEvaluateAll:

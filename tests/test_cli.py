@@ -17,6 +17,17 @@ GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
 
 
+def child_env():
+    """The environment with this checkout's src first on PYTHONPATH, for
+    a child interpreter."""
+    env = dict(os.environ)
+    src = str(Path(__file__).parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def run(capsys, argv, stdin_text=None):
     if stdin_text is not None:
         old = sys.stdin
@@ -376,14 +387,10 @@ class TestTopLevel:
         does, gets no error line, and the broken pipe exits 141
         (128 + SIGPIPE). The 160 kB matrix is more than a pipe holds,
         so the writer is still writing when the reader goes."""
-        env = dict(os.environ)
+        env = child_env()
         # Unbuffered stdout drops what a partial write leaves over,
         # with no error, so the child runs with the default buffering.
         env.pop("PYTHONUNBUFFERED", None)
-        src = str(Path(__file__).parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         argv = ["construct", "identity", "--k", "400"]
         with subprocess.Popen(
             [sys.executable, "-m", "batchcodes.cli", *argv],
@@ -396,3 +403,34 @@ class TestTopLevel:
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 141
         assert err == b""
+
+    def test_no_runtime_dependencies(self, subcube_file):
+        """Every subcommand runs on the standard library alone: the only
+        top-level module outside it that a run imports is batchcodes."""
+        child = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from batchcodes.cli import main
+calls = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in calls]
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps([codes, sorted(added - set(sys.stdlib_module_names))]))
+"""
+        calls = [
+            ["analyze", subcube_file, "--r-cap", "2", "--query", "1,2", "--json"],
+            ["query", subcube_file, "1,2"],
+            ["construct", "simplex", "--m", "3"],
+            ["distance", subcube_file],
+            ["bounds", "--k", "3", "--d", "4", "--r", "2", "--t", "4", "--n", "7"],
+            ["search", "--k", "2", "--t", "2"],
+        ]
+        out = subprocess.run(
+            [sys.executable, "-c", child, json.dumps(calls)],
+            capture_output=True,
+            env=child_env(),
+            check=True,
+            text=True,
+            timeout=120,
+        ).stdout
+        assert json.loads(out) == [[0] * len(calls), ["batchcodes"]]

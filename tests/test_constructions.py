@@ -27,6 +27,9 @@ class TestIdentity:
     def test_guard(self):
         with pytest.raises(ValueError):
             identity(0)
+        for bad in (0, 1.5, "2"):
+            with pytest.raises(ValueError, match="^k must be an integer >= 1,"):
+                identity(bad)
 
 
 class TestSubcube:
@@ -61,6 +64,12 @@ class TestSubcube:
             subcube(1, 1)
         with pytest.raises(ValueError):
             subcube(2, 0)
+        for bad in (1, 1.5, "2"):
+            with pytest.raises(ValueError, match="^ell must be an integer >= 2,"):
+                subcube(bad, 1)
+        for bad in (0, 1.5, "2"):
+            with pytest.raises(ValueError, match="^m must be an integer >= 1,"):
+                subcube(2, bad)
         with pytest.raises(CapacityError):
             subcube(5, 2)
 
@@ -83,6 +92,9 @@ class TestSimplex:
     def test_guards(self):
         with pytest.raises(ValueError):
             simplex(1)
+        for bad in (1, 1.5, 3.0, "2"):
+            with pytest.raises(ValueError, match="^m must be an integer >= 2,"):
+                simplex(bad)
         with pytest.raises(CapacityError):
             simplex(13)
 
@@ -103,6 +115,9 @@ class TestTriplicatedParity:
     def test_guard(self):
         with pytest.raises(ValueError):
             triplicated_parity(1)
+        for bad in (1, 1.5, "2"):
+            with pytest.raises(ValueError, match="^k must be an integer >= 2,"):
+                triplicated_parity(bad)
 
 
 class TestBlockwiseSubcubeAllones:
@@ -122,6 +137,9 @@ class TestBlockwiseSubcubeAllones:
     def test_guards(self):
         with pytest.raises(ValueError):
             blockwise_subcube_allones(0)
+        for bad in (0, 1.5, "2"):
+            with pytest.raises(ValueError, match="^kappa must be an integer >= 1,"):
+                blockwise_subcube_allones(bad)
         with pytest.raises(CapacityError):
             blockwise_subcube_allones(13)
 
@@ -142,3 +160,6 @@ class TestPairedParity:
     def test_guard(self):
         with pytest.raises(ValueError):
             paired_parity(1)
+        for bad in (1, 1.5, "2"):
+            with pytest.raises(ValueError, match="^k must be an integer >= 2,"):
+                paired_parity(bad)

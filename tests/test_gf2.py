@@ -160,6 +160,11 @@ class TestParseFormat:
             parse_matrix("101\n0x1\n")
         assert exc.value.line == 2
         assert exc.value.column == 2
+        # A non-ASCII digit is no header digit; the line is read as a row.
+        with pytest.raises(MatrixParseError) as exc:
+            parse_matrix("\u00b2 3\n101\n011\n")
+        assert exc.value.line == 1
+        assert exc.value.column == 1
 
     def test_ragged_rows(self):
         with pytest.raises(MatrixParseError):

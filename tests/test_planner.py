@@ -231,6 +231,9 @@ class TestServe:
                 serve_query(simplex(3), (1, 1, 1), bad)
         with pytest.raises(ValueError):
             QueryPlanner(subcube(2, 1)).servable_all(0)
+        for bad in (0, 1.5, 2.0, "2"):
+            with pytest.raises(ValueError, match="^t must be an integer >= 1,"):
+                QueryPlanner(subcube(2, 1)).servable_all(bad)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -217,6 +217,9 @@ class TestCorollaryCheck:
             corollary_check(triplicated_parity(3), 1)
         with pytest.raises(ValueError):
             corollary_check(subcube(2, 1), 0)
+        for bad in (0, 1.5, "2"):
+            with pytest.raises(ValueError, match="^t must be an integer >= 1,"):
+                corollary_check(subcube(2, 1), bad)
 
 
 def test_profile_assembly():

@@ -100,6 +100,14 @@ class TestMinLength:
                 min_length(2, 2, r_cap=bad)
         with pytest.raises(ValueError):
             min_length(2, 2, n_max=1)
+        for bad in (0, 1.5, "2"):
+            with pytest.raises(ValueError, match="^k must be an integer >= 1,"):
+                min_length(bad, 2)
+            with pytest.raises(ValueError, match="^t must be an integer >= 1,"):
+                min_length(2, bad)
+        for bad in (2, 5.5, "5"):
+            with pytest.raises(ValueError, match="^n_max must be an integer >= 3,"):
+                min_length(3, 2, n_max=bad)
 
     def test_raised_guards_allow_more(self):
         res = min_length(2, 3, n_max=8, max_slack=6)
@@ -209,3 +217,8 @@ class TestRedundancyTable:
             redundancy_table(0, 1)
         with pytest.raises(ValueError):
             redundancy_table(1, 0)
+        for bad in (0, 1.5, "2"):
+            with pytest.raises(ValueError, match="^k_max must be an integer >= 1,"):
+                redundancy_table(bad, 1)
+            with pytest.raises(ValueError, match="^t_max must be an integer >= 1,"):
+                redundancy_table(1, bad)
