@@ -10,6 +10,7 @@ out longhand.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -36,6 +37,17 @@ __all__ = [
 _ROW_CHARS = frozenset("01 \t")
 
 
+def _check_size(what: str, value: int) -> None:
+    """Raise DimensionError unless `value` is an integer >= 1, as
+    `operator.index` reads it: 2.5 and "2" are rejected, not truncated."""
+    try:
+        ok = operator.index(value) >= 1
+    except TypeError:
+        ok = False
+    if not ok:
+        raise DimensionError(f"{what} must be an integer >= 1, got {value!r}")
+
+
 def reverse_bits(word: int, width: int) -> int:
     """Reverse the low `width` bits of `word` (big-endian <-> little-endian)."""
     out = 0
@@ -53,8 +65,7 @@ class BitVector:
     word: int = 0
 
     def __post_init__(self):
-        if self.length < 1:
-            raise DimensionError(f"vector length must be >= 1, got {self.length}")
+        _check_size("vector length", self.length)
         if not 0 <= self.word < (1 << self.length):
             raise DimensionError(
                 f"word {self.word:#x} does not fit in {self.length} bits"
@@ -74,6 +85,7 @@ class BitVector:
     @classmethod
     def unit(cls, length: int, position: int) -> "BitVector":
         """Standard basis vector e_position (1-indexed)."""
+        _check_size("vector length", length)
         if not 1 <= position <= length:
             raise DimensionError(f"position {position} outside 1..{length}")
         return cls(length, 1 << (position - 1))
@@ -121,8 +133,7 @@ class BitMatrix:
     row_words: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DimensionError(f"column count must be >= 1, got {self.n}")
+        _check_size("column count", self.n)
         if not self.row_words:
             raise DimensionError("matrix needs at least one row")
         object.__setattr__(self, "row_words", tuple(self.row_words))

@@ -17,11 +17,15 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidQueryError
 from .gf2 import BitVector, LinearCode
+# perfbench/tracer.py patches `enumerate_recovery_sets` and
+# `max_disjoint_packing` here by name.
 from .recovery import (
     RecoveryEnumeration,
     RecoverySet,
+    _columns,
     check_cap,
     check_int,
+    circuit_sweep,
     enumerate_recovery_sets,
     max_disjoint_packing,
 )
@@ -122,17 +126,17 @@ class QueryPlanner:
     """Plan searcher for one code and one recovery-set size cap.
 
     Candidate recovery sets and packing numbers are enumerated per
-    symbol on demand and reused across queries, so sweeping all queries
-    of a given size shares the expensive enumeration work. Each symbol
-    has one record, the `RecoveryEnumeration` of its current list: the
-    plan search, the conflict tables and the packing read its column
-    masks, a list is cut exactly when it is `truncated`, and its
-    `RecoverySet`s are decoded only when a plan or `candidates` returns
-    them. Each candidate list also gets conflict bitsets over its
-    candidate indices (see `_conflicts`), built on first use and
-    dropped whenever the list is enumerated again, so the plan search
-    tests disjointness with a few integer operations per node instead
-    of a scan.
+    symbol on demand, or for all symbols at once by `packings`, and
+    reused across queries, so sweeping all queries of a given size
+    shares the expensive enumeration work. Each symbol has one record,
+    the `RecoveryEnumeration` of its current list: the plan search, the
+    conflict tables and the packing read its column masks, a list is
+    cut exactly when it is `truncated`, and its `RecoverySet`s are
+    decoded only when a plan or `candidates` returns them. Each
+    candidate list also gets conflict bitsets over its candidate
+    indices (see `_conflicts`), built on first use and dropped whenever
+    the list is enumerated again, so the plan search tests disjointness
+    with a few integer operations per node instead of a scan.
     """
 
     def __init__(self, code: LinearCode, r: int | None = None):
@@ -166,6 +170,37 @@ class QueryPlanner:
             )
         return self._packing[symbol]
 
+    def packings(self) -> tuple[int, ...]:
+        """`max_packing` of every symbol 1..k, in order.
+
+        When the code has every unit column, the complete lists of all
+        symbols come from one circuit sweep over the identity columns
+        at cap r (`recovery.circuit_sweep`), which enumerates a circuit
+        through j identity columns once rather than j times. A minimal
+        set of e_i either is the identity column sigma(i) alone or
+        avoids it, so each list is e_i's sets from the sweep plus
+        {sigma(i)}, put in lexicographic order: the list `candidates`
+        returns. Without every unit column, each symbol is enumerated
+        on its own.
+        """
+        k = self._code.k
+        colmap = self._code.identity_column_map()
+        lists = self._lists
+        stale = [
+            s for s in range(1, k + 1) if s not in lists or lists[s].truncated
+        ]
+        if colmap is not None and stale:
+            found = circuit_sweep(self._code, list(colmap.values()), self._r)
+            for sym in stale:
+                masks = sorted(
+                    found[sym - 1] + [1 << (colmap[sym] - 1)], key=_columns
+                )
+                lists[sym] = RecoveryEnumeration(
+                    BitVector.unit(k, sym), tuple(masks), False
+                )
+                self._tables.pop(sym, None)
+        return tuple(self.max_packing(sym) for sym in range(1, k + 1))
+
     def serve(self, query: Query | Iterable[int]) -> ServingPlan | None:
         """A serving plan for `query`, or None when provably none exists.
 
@@ -173,10 +208,10 @@ class QueryPlanner:
         lists have been enumerated: groups are placed in order of their
         current candidate counts, and a fresh list stops at the first
         cap. So a planner warmed by `candidates`, `max_packing`,
-        `servable_all` (which completes every list) or earlier queries
-        may return a different valid plan than a fresh one. Only the
-        verdict is independent of that history. The lists themselves
-        are always in lexicographic order.
+        `packings` or `servable_all` (which complete lists) or by
+        earlier queries may return a different valid plan than a fresh
+        one. Only the verdict is independent of that history. The lists
+        themselves are always in lexicographic order.
         """
         q = query if isinstance(query, Query) else Query(tuple(query))
         q.check_within(self._code.k)
@@ -236,29 +271,71 @@ class QueryPlanner:
         lexicographically first failing query is the witness.
 
         One query is tested per orbit under the permutations of symbols
-        within `symbol_classes`: those whose multiplicities are
-        non-increasing along each class, which are the lexicographic
-        minima of their orbits. A permutation fixing the column multiset
-        maps each recovery set of e_i onto one of e_pi(i) of the same
-        size, and disjoint sets onto disjoint sets, so servability is
-        constant on an orbit. The first failing query is then the
-        minimum of its orbit, so it is tested, and every query before
-        it is servable. Any subgroup of the symbol stabilizer gives a
-        sound reduction; the classes give one that is cheap to find,
-        where listing the whole stabilizer is not.
+        within `symbol_classes` (see `_sweep_queries`), in increasing
+        lexicographic order. Servability is constant on an orbit, so the
+        first failing query is the minimum of its orbit and is tested,
+        and every query before it is servable.
 
-        The queries are served on `_size_ordered`, a planner whose
-        complete candidate lists put the smallest sets first, so a plan
-        that exists is usually found after few picks. List order cannot
-        change a verdict: the search returns None only after ruling out
-        every disjoint choice of candidates, whatever their order, and
-        with complete lists no cap doubling is left to try. The
-        witness is the first failing query in the same sweep order, so
-        it cannot change either. This planner's own lists are left in
-        lexicographic order, and `serve` keeps its plans.
+        The queries are tested on `_size_ordered`, a planner whose
+        complete candidate lists put the smallest sets first. Each query
+        starts from the previous query's plan, kept as a stack of
+        used-column masks, one per position: the positions the two
+        queries share keep their sets, and each later position takes
+        the first candidate of its symbol that avoids the columns used
+        so far. Only when that greedy extension fails is the query
+        served by the exact search (`serve`), whose plan becomes the
+        stack for the next query. A greedy plan is a plan, and every
+        other query gets the exact search, so the verdict and the
+        witness are those of serving every query.
+
+        List order cannot change a verdict: the search returns None only
+        after ruling out every disjoint choice of candidates, whatever
+        their order, and with complete lists no cap doubling is left to
+        try. This planner's own lists are left in lexicographic order,
+        and `serve` keeps its plans.
         """
         t = check_int("t", t)
         view = self._size_ordered()
+        lists = {sym: enum.masks for sym, enum in view._lists.items()}
+        # used[p]: the columns of the current plan's first p positions.
+        used = [0]
+        last: tuple[int, ...] = ()
+        for combo in self._sweep_queries(t):
+            keep = 0
+            while keep < len(last) and last[keep] == combo[keep]:
+                keep += 1
+            del used[keep + 1 :]
+            for sym in combo[keep:]:
+                acc = used[-1]
+                pick = next((m for m in lists[sym] if not m & acc), None)
+                if pick is None:
+                    break
+                used.append(acc | pick)
+            if len(used) <= t:  # the greedy extension stopped short
+                q = Query(combo)
+                plan = view.serve(q)
+                if plan is None:
+                    return False, q
+                used = [0]
+                for rs in plan.recovery_sets():
+                    used.append(used[-1] | rs.column_mask())
+            last = combo
+        return True, None
+
+    def _sweep_queries(self, t: int) -> Iterable[tuple[int, ...]]:
+        """The size-t queries `servable_all` tests, as sorted index
+        tuples in increasing lexicographic order: those whose
+        multiplicities are non-increasing along each class of
+        `symbol_classes`, which are the lexicographic minima of their
+        orbits.
+
+        A permutation fixing the column multiset maps each recovery set
+        of e_i onto one of e_pi(i) of the same size, and disjoint sets
+        onto disjoint sets, so servability is constant on an orbit. Any
+        subgroup of the symbol stabilizer gives a sound reduction; the
+        classes give one that is cheap to find, where listing the whole
+        stabilizer is not.
+        """
         steps = [
             (a, b)
             for cls in self.symbol_classes()
@@ -267,12 +344,8 @@ class QueryPlanner:
         for combo in combinations_with_replacement(
             range(1, self._code.k + 1), t
         ):
-            if any(combo.count(a) < combo.count(b) for a, b in steps):
-                continue
-            q = Query(combo)
-            if view.serve(q) is None:
-                return False, q
-        return True, None
+            if not any(combo.count(a) < combo.count(b) for a, b in steps):
+                yield combo
 
     def _size_ordered(self) -> "QueryPlanner":
         """A planner for the same code and cap whose candidate lists are

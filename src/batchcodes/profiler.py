@@ -13,14 +13,18 @@ equals pir_t, as it does for every named family, that is one sweep.
 
 A minimal recovery set of column j that avoids j is, together with j,
 a circuit of the generator's column matroid. The repair profiles are
-read off one sweep over these circuits (`_circuit_sweep`), which
-enumerates each circuit once, however many target columns it holds.
-The same sweep gives every symbol's smallest set size: an uncapped one
-holds it outright, and a capped one is deepened until every symbol in
-some circuit has a set.
-The information-symbol entries of `profile` are read off the query
-planner that already serves its batch and PIR sweeps.
-Each batch sweep tests one query per orbit of interchangeable symbols
+read off one sweep over these circuits (`recovery.circuit_sweep`),
+which enumerates each circuit once, however many target columns it
+holds. The same sweep gives every symbol's smallest set size: an
+uncapped one holds it outright, and a capped one is deepened until
+every symbol in some circuit has a set.
+
+The PIR packings and the information-symbol entries of `profile` are
+read off the query planner that serves its batch sweeps. On a code
+with every unit column, `QueryPlanner.packings` fills all k complete
+lists from one circuit sweep over the identity columns. Each batch
+sweep tests one query per orbit of interchangeable symbols, and serves
+most of them by extending the previous query's plan
 (`QueryPlanner.servable_all`).
 """
 
@@ -32,13 +36,14 @@ from fractions import Fraction
 from .errors import NotSystematicError
 from .gf2 import LinearCode
 from .planner import QueryPlanner
-# perfbench/tracer.py patches `enumerate_recovery_sets` here by name.
+# perfbench/tracer.py patches `enumerate_recovery_sets` and
+# `max_disjoint_packing` here by name.
 from .recovery import (  # noqa: F401
     check_cap,
     check_int,
+    circuit_sweep,
     enumerate_recovery_sets,
     max_disjoint_packing,
-    minimal_set_masks,
 )
 
 __all__ = [
@@ -112,9 +117,7 @@ def batch_t(code: LinearCode, r: int | None = None) -> int:
 
 
 def _pir(planner: QueryPlanner) -> int:
-    return min(
-        planner.max_packing(i) for i in range(1, planner.code.k + 1)
-    )
+    return min(planner.packings())
 
 
 def _batch(planner: QueryPlanner) -> int:
@@ -125,37 +128,6 @@ def _batch(planner: QueryPlanner) -> int:
     while t > 0 and not planner.servable_all(t)[0]:
         t -= 1
     return t
-
-
-def _circuit_sweep(
-    code: LinearCode, columns: list[int], cap: int | None
-) -> list[list[int]]:
-    """For each target column c, the masks of the minimal recovery sets
-    of c's word that avoid c and have at most `cap` columns.
-
-    Such a set, together with c, is a circuit of the column matroid, so
-    each circuit is enumerated once, from the first target it contains:
-    target c's sets avoid c and every earlier target (not every earlier
-    column), and each circuit goes, less c', to every target c' in it.
-    The target columns must be nonzero.
-    """
-    words = code.column_words
-    slot = {1 << (c - 1): t for t, c in enumerate(columns)}
-    targets = sum(slot)
-    found: list[list[int]] = [[] for _ in columns]
-    skip = 0
-    for t, c in enumerate(columns):
-        bit = 1 << (c - 1)
-        skip |= bit
-        masks, _ = minimal_set_masks(code, words[c - 1], skip, cap)
-        found[t].extend(masks)
-        for mask in masks:
-            rest = mask & targets
-            while rest:
-                low = rest & -rest
-                found[slot[low]].append((mask ^ low) | bit)
-                rest ^= low
-    return found
 
 
 def _repair_profile(
@@ -180,13 +152,13 @@ def _repair_profile(
     live = [c for c in nonzero if not coloops >> (c - 1) & 1]
     cap = r
     if r is None and (not cap_at_locality or len(live) < len(nonzero)):
-        sets = _circuit_sweep(code, live, None)
+        sets = circuit_sweep(code, live, None)
     else:
         size = r or 1
-        sets = _circuit_sweep(code, live, size)
+        sets = circuit_sweep(code, live, size)
         while not all(sets):
             size += 1
-            sets = _circuit_sweep(code, live, size)
+            sets = circuit_sweep(code, live, size)
         if r is None:
             cap = size
     by_column = dict(zip(live, sets))
@@ -258,8 +230,8 @@ def _info_profile(planner: QueryPlanner) -> LrcProfile:
     smallest set has size 1: the identity column of e_i is one, under
     any cap."""
     entries = [
-        SymbolRecovery(i, 1, planner.max_packing(i))
-        for i in range(1, planner.code.k + 1)
+        SymbolRecovery(i, 1, packing)
+        for i, packing in enumerate(planner.packings(), 1)
     ]
     return _aggregate(planner.r, entries)
 

@@ -23,6 +23,12 @@ elimination. Excluded columns are a skip mask tested in the loop and in
 the last-slot lookup; excluding columns only removes completions, so
 the lowest-bit bound stays a necessary condition.
 
+A minimal recovery set of a column's word that avoids that column is,
+with the column, a circuit of the column matroid. `circuit_sweep`
+lists such sets for many target columns at once and enumerates each
+circuit once, from the first target in it: the repair profiles and the
+planner's complete unit-vector lists are read off it.
+
 Sets stay column masks, as the search finds them, until a caller asks
 for `RecoverySet`s: `RecoveryEnumeration.sets` decodes its masks the
 first time it is read. The planner searches and packs on the masks and
@@ -77,11 +83,12 @@ class RecoveryEnumeration:
 
     `masks` are the sets' column masks (bit j-1 for column j), in the
     order of whoever built the record: lexicographic order of their
-    sorted column tuples from `enumerate_recovery_sets`, by size in the
-    planner's sweep view (`QueryPlanner._size_ordered`). `truncated`
-    means more sets exist beyond the count cap. `sets` holds the same
-    sets as `RecoverySet`s, in the same order, decoded on first read;
-    iteration runs over `sets`, and `len` counts `masks`.
+    sorted column tuples from `enumerate_recovery_sets` and
+    `QueryPlanner.packings`, by size in the planner's sweep view
+    (`QueryPlanner._size_ordered`). `truncated` means more sets exist
+    beyond the count cap. `sets` holds the same sets as `RecoverySet`s,
+    in the same order, decoded on first read; iteration runs over
+    `sets`, and `len` counts `masks`.
     """
 
     target: BitVector
@@ -253,6 +260,37 @@ def minimal_set_masks(
     if truncated:
         out.pop()
     return out, truncated
+
+
+def circuit_sweep(
+    code: LinearCode, columns: list[int], cap: int | None
+) -> list[list[int]]:
+    """For each target column c, the masks of the minimal recovery sets
+    of c's word that avoid c and have at most `cap` columns.
+
+    Such a set, together with c, is a circuit of the column matroid, so
+    each circuit is enumerated once, from the first target it contains:
+    target c's sets avoid c and every earlier target (not every earlier
+    column), and each circuit goes, less c', to every target c' in it.
+    The target columns must be nonzero.
+    """
+    words = code.column_words
+    slot = {1 << (c - 1): t for t, c in enumerate(columns)}
+    targets = sum(slot)
+    found: list[list[int]] = [[] for _ in columns]
+    skip = 0
+    for t, c in enumerate(columns):
+        bit = 1 << (c - 1)
+        skip |= bit
+        masks, _ = minimal_set_masks(code, words[c - 1], skip, cap)
+        found[t].extend(masks)
+        for mask in masks:
+            rest = mask & targets
+            while rest:
+                low = rest & -rest
+                found[slot[low]].append((mask ^ low) | bit)
+                rest ^= low
+    return found
 
 
 def max_disjoint_packing(masks: Sequence[int]) -> int:

@@ -88,6 +88,7 @@ def min_length(
     k = check_int("k", k)
     t = check_int("t", t)
     r_cap = check_cap("r_cap", r_cap)
+    max_slack = check_int("max_slack", max_slack, least=0)
     if k > max_k:
         raise CapacityError(f"k = {k} exceeds the search guard max_k = {max_k}")
     if n_max is None:
@@ -177,6 +178,7 @@ def redundancy_table(
     as not-found rows (rendered as unknown)."""
     k_max = check_int("k_max", k_max)
     t_max = check_int("t_max", t_max)
+    n_slack = check_int("n_slack", n_slack, least=0)
     rows = []
     for k in range(1, k_max + 1):
         for t in range(1, t_max + 1):

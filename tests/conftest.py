@@ -1,5 +1,6 @@
-"""Shared fixtures: the named-code corpus, a random code generator, and
-hypothesis strategies for small generator matrices."""
+"""Shared fixtures: the named-code corpus, a random code generator,
+hypothesis strategies for small generator matrices, and a counting
+stand-in for the recovery-set search."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from batchcodes import recovery
 from batchcodes import (
     BitMatrix,
     LinearCode,
@@ -111,3 +113,30 @@ def symmetric_codes(draw):
     matrix = column_matrix(k, columns)
     assume(rank(matrix) == k)
     return LinearCode(matrix)
+
+
+@st.composite
+def systematic_codes(draw, k_max: int = 4, n_max: int = 10):
+    """Generator matrices holding every unit column, not necessarily at
+    the front: the identity columns sit at random positions among the
+    other columns, which may be zero, repeat each other, or repeat a
+    unit column."""
+    k = draw(st.integers(1, k_max))
+    extra = draw(
+        st.lists(st.integers(0, (1 << k) - 1), max_size=n_max - k)
+    )
+    columns = draw(st.permutations([1 << i for i in range(k)] + extra))
+    return LinearCode(column_matrix(k, columns))
+
+
+def counting_searches(calls: list):
+    """Stand-in for `recovery.minimal_set_masks` that records, per call,
+    the size cap it was given and the number of sets it found."""
+    real = recovery.minimal_set_masks
+
+    def counting(code, target, skip, max_size, max_count=None):
+        masks, truncated = real(code, target, skip, max_size, max_count)
+        calls.append((max_size, len(masks)))
+        return masks, truncated
+
+    return counting

@@ -1,6 +1,7 @@
 """Vectors, matrices, parsing, and LinearCode basics."""
 
 import random
+import re
 
 import pytest
 
@@ -73,6 +74,17 @@ class TestBitVector:
         with pytest.raises(ValueError):
             BitVector.from_bits([0, 2])
 
+    @pytest.mark.parametrize("length", [0, -1, 2.5, "2", None])
+    def test_length_must_be_a_positive_integer(self, length):
+        message = f"vector length must be an integer >= 1, got {length!r}"
+        for make in (
+            lambda: BitVector(length, 0),
+            lambda: BitVector.zero(length),
+            lambda: BitVector.unit(length, 1),
+        ):
+            with pytest.raises(DimensionError, match=re.escape(message)):
+                make()
+
 
 class TestBitMatrix:
     def test_from_rows(self):
@@ -105,6 +117,12 @@ class TestBitMatrix:
             m.entry(2, 1)
         with pytest.raises(DimensionError):
             m.column_word(3)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5, "2", None])
+    def test_column_count_must_be_a_positive_integer(self, n):
+        message = f"column count must be an integer >= 1, got {n!r}"
+        with pytest.raises(DimensionError, match=re.escape(message)):
+            BitMatrix(n, (1,))
 
 
 class TestRank:

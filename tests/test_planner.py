@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import batchcodes.planner as planner_module
@@ -21,16 +21,26 @@ from batchcodes import (
     RecoverySet,
     ServingPlan,
     batch_t,
+    enumerate_recovery_sets,
     identity,
     is_servable_all,
+    max_disjoint_packing,
     paired_parity,
     plan_is_valid,
+    recovery,
     serve_query,
     simplex,
     subcube,
     triplicated_parity,
 )
-from conftest import column_matrix, random_systematic, small_codes, symmetric_codes
+from conftest import (
+    column_matrix,
+    counting_searches,
+    random_systematic,
+    small_codes,
+    symmetric_codes,
+    systematic_codes,
+)
 from oracles import (
     brute_plan_exists,
     reference_plan,
@@ -322,6 +332,26 @@ class TestServableAll:
         assert not ok
         assert witness.indices == (1, 1, 1)
 
+    @pytest.mark.parametrize(
+        "code, t, tested", [(subcube(2, 3), 8, 6435), (subcube(3, 2), 4, 495)]
+    )
+    def test_sweep_extends_the_previous_plan(self, code, t, tested, monkeypatch):
+        """On these codes every symbol is its own class, so the sweep
+        tests every query, and extending the previous query's plan
+        greedily serves each one: the exact search never runs."""
+        served = []
+        serve = QueryPlanner.serve
+
+        def counting(self, query):
+            served.append(query)
+            return serve(self, query)
+
+        monkeypatch.setattr(QueryPlanner, "serve", counting)
+        planner = QueryPlanner(code)
+        assert len(list(planner._sweep_queries(t))) == tested
+        assert planner.servable_all(t) == (True, None)
+        assert served == []
+
 
 class TestSymbolClasses:
     @pytest.mark.parametrize(
@@ -373,10 +403,20 @@ class TestSymbolClasses:
             return serve(self, query)
 
         monkeypatch.setattr(QueryPlanner, "serve", counting)
-        ok, witness = QueryPlanner(simplex(4)).servable_all(8)
-        assert ok and witness is None
+        planner = QueryPlanner(simplex(4))
+        tested = list(planner._sweep_queries(8))
         # The partitions of 8 into at most 4 parts, not all 165 queries.
-        assert len(served) == 15
+        partitions = {
+            m for m in combinations_with_replacement(range(8, -1, -1), 4)
+            if sum(m) == 8
+        }
+        assert len(tested) == len(partitions) == 15
+        assert {tuple(c.count(s) for s in range(1, 5)) for c in tested} == partitions
+        ok, witness = planner.servable_all(8)
+        assert ok and witness is None
+        # The sweep serves only the queries it tests, each at most once.
+        assert {q.indices for q in served} <= set(tested)
+        assert len(served) == len({q.indices for q in served})
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -448,6 +488,63 @@ class TestPlannerState:
             for combo in rng.sample(combos, 20):
                 q = Query(combo)
                 assert str(swept.serve(q)) == str(warm.serve(q)), combo
+
+
+class TestPackings:
+    """`packings` fills every complete list from one circuit sweep when
+    the code has every unit column."""
+
+    def test_enumerates_each_circuit_once(self, monkeypatch):
+        # The four lists of simplex(4) hold 91 sets each besides the
+        # identity column, 364 in all, but only 245 circuits pass
+        # through an identity column: the search of e_i's column skips
+        # the identity columns before it.
+        calls: list = []
+        monkeypatch.setattr(recovery, "minimal_set_masks", counting_searches(calls))
+        planner = QueryPlanner(simplex(4))
+        assert planner.packings() == (8, 8, 8, 8)
+        assert [len(planner.candidates(i)) for i in range(1, 5)] == [92] * 4
+        assert calls == [(None, 91), (None, 68), (None, 50), (None, 36)]
+
+    def test_without_every_unit_column_enumerates_each_symbol(self, monkeypatch):
+        code = triplicated_parity(5)
+        calls: list = []
+        monkeypatch.setattr(recovery, "minimal_set_masks", counting_searches(calls))
+        planner = QueryPlanner(code)
+        assert planner.packings() == (3,) * 5
+        lengths = [len(planner.candidates(i)) for i in range(1, 6)]
+        assert lengths == [3, 3, 3, 3, 243]
+        assert calls == [(None, count) for count in lengths]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    code=st.one_of(systematic_codes(k_max=5, n_max=11), small_codes()),
+    r=st.sampled_from([None, 1, 2, 3]),
+    queries=st.lists(
+        st.lists(st.integers(0, 99), min_size=1, max_size=6), max_size=4
+    ),
+)
+# Identity columns behind others, a repeated unit column, a zero column.
+@example(code=LinearCode(column_matrix(3, [6, 4, 0, 1, 7, 2, 1, 3])), r=None, queries=[])
+@example(code=LinearCode(column_matrix(3, [6, 4, 0, 1, 7, 2, 1, 3])), r=2, queries=[])
+def test_packings_match_per_symbol_lists(code, r, queries):
+    """`packings` gives each symbol the list `enumerate_recovery_sets`
+    gives it, in the same lexicographic order, and that list's packing
+    number; `serve` then returns the plans of a planner warmed symbol by
+    symbol through `candidates`."""
+    planner = QueryPlanner(code, r)
+    warm = QueryPlanner(code, r)
+    packings = planner.packings()
+    assert len(packings) == code.k
+    for i in range(1, code.k + 1):
+        want = enumerate_recovery_sets(code, BitVector.unit(code.k, i), max_size=r)
+        assert warm.candidates(i) == want.sets
+        assert planner.candidates(i) == want.sets, i
+        assert packings[i - 1] == max_disjoint_packing(want.masks), i
+    drawn = [[s % code.k + 1 for s in q] for q in queries]
+    for indices in drawn + [[1] * 3, list(range(1, code.k + 1))]:
+        assert str(planner.serve(indices)) == str(warm.serve(indices)), indices
 
 
 class TestDecoding:

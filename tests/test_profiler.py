@@ -4,7 +4,6 @@ import random
 import re
 from fractions import Fraction
 from pathlib import Path
-from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,15 +24,20 @@ from batchcodes import (
     paired_parity,
     pir_t,
     profile,
-    profiler,
-    rank,
+    recovery,
     serve_query,
     simplex,
     subcube,
     triplicated_parity,
 )
 from batchcodes.gf2 import PivotBasis
-from conftest import column_matrix, random_systematic, small_codes, symmetric_codes
+from conftest import (
+    column_matrix,
+    counting_searches,
+    random_systematic,
+    small_codes,
+    symmetric_codes,
+)
 from oracles import (
     brute_max_packing,
     brute_minimal_recovery_sets,
@@ -351,61 +355,6 @@ def test_profiles_match_reference(code, r):
     assert _as_tuple(info_lrc_profile(code, r, include_self=False)) == want
 
 
-def _counting_searches(calls: list):
-    """Stand-in for `profiler.minimal_set_masks` that records, per call,
-    the size cap it was given and the number of sets it found."""
-    real = profiler.minimal_set_masks
-
-    def counting(code, target, skip, max_size, max_count=None):
-        masks, truncated = real(code, target, skip, max_size, max_count)
-        calls.append((max_size, len(masks)))
-        return masks, truncated
-
-    return counting
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(code=small_codes(), r=st.sampled_from([None, 1, 2, 3]))
-# Identity columns not at the front; a duplicated identity column; a
-# zero column; column 4 outside the span of the others (a coloop).
-@example(code=_code(3, [3, 5, 1, 6, 2, 4, 7]), r=None)
-@example(code=_code(2, [3, 1, 2, 1]), r=1)
-@example(code=_code(2, [1, 0, 2, 3]), r=2)
-@example(code=_code(3, [1, 2, 3, 4]), r=None)
-def test_circuit_sweep_lists_each_circuit_once(code, r):
-    """The coloops are the columns whose deletion drops the rank; every
-    target's list is its brute-force minimal recovery sets avoiding it,
-    up to the cap; and the sweep enumerates each circuit through the
-    targets exactly once."""
-    sums = subset_sum_table(code)
-    words = code.column_words
-    coloops = code.pivot_basis.coloops
-    for j in range(1, code.n + 1):
-        rows = tuple(w & ~(1 << (j - 1)) for w in code.generator.row_words)
-        dropped = rank(BitMatrix(code.n, rows)) < code.k
-        assert bool(coloops >> (j - 1) & 1) == dropped, j
-    readings = [[j for j, w in enumerate(words, 1) if w]]
-    colmap = code.identity_column_map()
-    if colmap is not None:
-        readings.append(list(colmap.values()))
-    for columns in readings:
-        calls: list = []
-        with patch.object(
-            profiler, "minimal_set_masks", _counting_searches(calls)
-        ):
-            found = profiler._circuit_sweep(code, columns, r)
-        circuits = set()
-        for c, masks in zip(columns, found):
-            want = brute_minimal_recovery_sets(
-                code, words[c - 1], frozenset((c,)), r, sums
-            )
-            want_masks = sorted(sum(1 << (j - 1) for j in s) for s in want)
-            assert sorted(masks) == want_masks, (columns, c)
-            circuits.update(m | 1 << (c - 1) for m in want_masks)
-        assert len(calls) == len(columns)
-        assert sum(count for _, count in calls) == len(circuits)
-
-
 @pytest.mark.parametrize(
     "code",
     # Column 1 of the first code and column 8 of the second are coloops.
@@ -416,9 +365,7 @@ def test_unbounded_cap_sweeps_once(code, monkeypatch):
     """An unbounded cap takes one uncapped sweep, with no deepening
     first: at most one search per target."""
     calls: list = []
-    monkeypatch.setattr(
-        profiler, "minimal_set_masks", _counting_searches(calls)
-    )
+    monkeypatch.setattr(recovery, "minimal_set_masks", counting_searches(calls))
     if code.pivot_basis.coloops:
         assert lrc_profile(code).cap is None
         assert 0 < len(calls) <= code.n

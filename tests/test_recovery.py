@@ -1,12 +1,14 @@
 """Minimal recovery-set enumeration and exact disjoint packing."""
 
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from batchcodes import (
+    BitMatrix,
     BitVector,
     DimensionError,
     InvalidTargetError,
@@ -16,11 +18,13 @@ from batchcodes import (
     build_report,
     enumerate_recovery_sets,
     max_disjoint_packing,
+    rank,
+    recovery,
     report_to_dict,
     simplex,
     subcube,
 )
-from conftest import column_matrix, random_systematic, small_codes
+from conftest import column_matrix, counting_searches, random_systematic, small_codes
 from oracles import (
     brute_max_packing,
     brute_minimal_recovery_sets,
@@ -272,3 +276,47 @@ class TestMaxDisjointPacking:
                 enum = enumerate_recovery_sets(code, BitVector.unit(code.k, i))
                 masks = [rs.column_mask() for rs in enum]
                 assert max_disjoint_packing(masks) == brute_max_packing(masks), name
+
+
+def _code(k: int, columns: list[int]) -> LinearCode:
+    return LinearCode(column_matrix(k, columns))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(code=small_codes(), r=st.sampled_from([None, 1, 2, 3]))
+# Identity columns not at the front; a duplicated identity column; a
+# zero column; column 4 outside the span of the others (a coloop).
+@example(code=_code(3, [3, 5, 1, 6, 2, 4, 7]), r=None)
+@example(code=_code(2, [3, 1, 2, 1]), r=1)
+@example(code=_code(2, [1, 0, 2, 3]), r=2)
+@example(code=_code(3, [1, 2, 3, 4]), r=None)
+def test_circuit_sweep_lists_each_circuit_once(code, r):
+    """The coloops are the columns whose deletion drops the rank; every
+    target's list is its brute-force minimal recovery sets avoiding it,
+    up to the cap; and the sweep enumerates each circuit through the
+    targets exactly once."""
+    sums = subset_sum_table(code)
+    words = code.column_words
+    coloops = code.pivot_basis.coloops
+    for j in range(1, code.n + 1):
+        rows = tuple(w & ~(1 << (j - 1)) for w in code.generator.row_words)
+        dropped = rank(BitMatrix(code.n, rows)) < code.k
+        assert bool(coloops >> (j - 1) & 1) == dropped, j
+    readings = [[j for j, w in enumerate(words, 1) if w]]
+    colmap = code.identity_column_map()
+    if colmap is not None:
+        readings.append(list(colmap.values()))
+    for columns in readings:
+        calls: list = []
+        with patch.object(recovery, "minimal_set_masks", counting_searches(calls)):
+            found = recovery.circuit_sweep(code, columns, r)
+        circuits = set()
+        for c, masks in zip(columns, found):
+            want = brute_minimal_recovery_sets(
+                code, words[c - 1], frozenset((c,)), r, sums
+            )
+            want_masks = sorted(sum(1 << (j - 1) for j in s) for s in want)
+            assert sorted(masks) == want_masks, (columns, c)
+            circuits.update(m | 1 << (c - 1) for m in want_masks)
+        assert len(calls) == len(columns)
+        assert sum(count for _, count in calls) == len(circuits)

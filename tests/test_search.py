@@ -108,6 +108,9 @@ class TestMinLength:
         for bad in (2, 5.5, "5"):
             with pytest.raises(ValueError, match="^n_max must be an integer >= 3,"):
                 min_length(3, 2, n_max=bad)
+        for bad in (-1, 2.5, "2"):
+            with pytest.raises(ValueError, match="^max_slack must be an integer >= 0,"):
+                min_length(2, 2, max_slack=bad)
 
     def test_raised_guards_allow_more(self):
         res = min_length(2, 3, n_max=8, max_slack=6)
@@ -222,3 +225,6 @@ class TestRedundancyTable:
                 redundancy_table(bad, 1)
             with pytest.raises(ValueError, match="^t_max must be an integer >= 1,"):
                 redundancy_table(1, bad)
+        for bad in (-1, 0.5, "1"):
+            with pytest.raises(ValueError, match="^n_slack must be an integer >= 0,"):
+                redundancy_table(1, 1, n_slack=bad)
