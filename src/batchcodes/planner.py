@@ -80,15 +80,13 @@ class Query:
 
     @classmethod
     def parse(cls, text: str) -> "Query":
-        """Parse a comma-separated index list such as "1,1,2,2"."""
+        """Parse a comma-separated index list such as "1,1,2,2". Each
+        part, stripped, must be ASCII decimal digits: no sign, no "_"
+        and no other script's digits, which `int` would accept."""
         parts = [p.strip() for p in text.split(",")]
-        if any(not p for p in parts):
+        if not all(p.isascii() and p.isdigit() for p in parts):
             raise InvalidQueryError(f"malformed query text {text!r}")
-        try:
-            indices = tuple(int(p) for p in parts)
-        except ValueError:
-            raise InvalidQueryError(f"malformed query text {text!r}")
-        return cls(indices)
+        return cls(tuple(int(p) for p in parts))
 
     @property
     def t(self) -> int:

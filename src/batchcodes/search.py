@@ -13,8 +13,26 @@ d >= t: if e_i has t disjoint recovery sets, every codeword mG with
 m_i = 1 has odd, so nonzero, weight on each of them. This holds in both
 modes and under any size cap, so candidates with a codeword lighter
 than t are rejected from their parity values alone, before any code or
-planner is built. They still count in `nodes_explored`, so the witness
-and the count are those of the unfiltered sweep.
+planner is built.
+
+Two more skips drop candidates that an earlier candidate already
+decided:
+
+- A zero parity column is never in a minimal recovery set, so a
+  candidate with one serves exactly what it serves without it. Sorted,
+  the zero comes first, and the candidate without it was tested at
+  n - 1 and failed (the sweep would have stopped otherwise).
+- Swapping two bits of every parity value swaps two rows of [I | A];
+  swapping the matching identity columns back gives the same code with
+  two symbols relabeled, so servability in both modes and under any cap
+  is unchanged. When the swap maps a candidate to a smaller sorted
+  tuple, that tuple came earlier at the same n and failed. So the first
+  passing candidate is the least member of its orbit and is never
+  skipped. Only the k(k-1)/2 transpositions are tried, not all k! bit
+  permutations: a full canonicity test costs more than it saves.
+
+Every skipped candidate still counts in `nodes_explored`, so the
+witness and the count are those of the unfiltered sweep.
 """
 
 from __future__ import annotations
@@ -80,8 +98,13 @@ def min_length(
 
     A candidate with minimum distance below t cannot pass (each codeword
     with m_i = 1 meets every recovery set of e_i in an odd number of
-    columns), so it is skipped before its code is built; skipped
-    candidates still count in `nodes_explored`.
+    columns), so it is skipped before its code is built. So is one with
+    a zero parity column (it serves what the shorter candidate without
+    the column served, and that one failed) and one that a swap of two
+    bits in every parity value maps to a smaller sorted tuple (the same
+    code with two symbols relabeled, tested earlier). Skipped
+    candidates still count in `nodes_explored`, so the witness and the
+    count are those of the plain sweep.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -89,6 +112,7 @@ def min_length(
     t = check_int("t", t)
     r_cap = check_cap("r_cap", r_cap)
     max_slack = check_int("max_slack", max_slack, least=0)
+    max_k = check_int("max_k", max_k)
     if k > max_k:
         raise CapacityError(f"k = {k} exceeds the search guard max_k = {max_k}")
     if n_max is None:
@@ -100,6 +124,7 @@ def min_length(
         )
 
     start, parity_bits, high = _distance_filter(k, t, n_max)
+    swaps = _transposition_tables(k)
     nodes = 0
     for n in range(k, n_max + 1):
         # Both tuples run in the same order, so bits[j] is the entry of
@@ -109,7 +134,14 @@ def min_length(
             combinations_with_replacement(parity_bits, n - k),
         ):
             nodes += 1
+            # A zero column: combo[1:] was tested at n - 1 and failed.
+            if combo and not combo[0]:
+                continue
             if sum(bits, start) & high != high:
+                continue
+            if any(
+                tuple(sorted(map(swap.__getitem__, combo))) < combo for swap in swaps
+            ):
                 continue
             code = _systematic_candidate(k, combo)
             if _passes(code, t, mode, r_cap):
@@ -146,6 +178,19 @@ def _distance_filter(k: int, t: int, n_max: int) -> tuple[int, list[int], int]:
     return start, parity_bits, high
 
 
+def _transposition_tables(k: int) -> list[list[int]]:
+    """For each pair of bits i < j, the table mapping every k-bit value
+    to the value with bits i and j swapped."""
+    tables = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            flip = (1 << i) | (1 << j)
+            tables.append(
+                [v ^ flip if (v >> i ^ v >> j) & 1 else v for v in range(1 << k)]
+            )
+    return tables
+
+
 def _systematic_candidate(k: int, parity_values: tuple[int, ...]) -> LinearCode:
     return _code_from_columns(
         k, [1 << i for i in range(k)] + [reverse_bits(v, k) for v in parity_values]
@@ -175,10 +220,16 @@ def redundancy_table(
 ) -> list[SearchResult]:
     """min_length for every (k, t) in [1, k_max] x [1, t_max], each swept
     up to n = k + n_slack. Entries that found nothing stay in the table
-    as not-found rows (rendered as unknown)."""
+    as not-found rows (rendered as unknown). A k_max above max_k raises
+    CapacityError before any row is swept."""
     k_max = check_int("k_max", k_max)
     t_max = check_int("t_max", t_max)
     n_slack = check_int("n_slack", n_slack, least=0)
+    max_k = check_int("max_k", max_k)
+    if k_max > max_k:
+        raise CapacityError(
+            f"k_max = {k_max} exceeds the search guard max_k = {max_k}"
+        )
     rows = []
     for k in range(1, k_max + 1):
         for t in range(1, t_max + 1):

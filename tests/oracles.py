@@ -9,7 +9,8 @@ the planner's documented search order, without any of its pruning, so
 that plans can be compared exactly. `reference_lrc_profile` rebuilds the
 profiler's locality and availability from the brute-force minimal sets
 and packing alone. `reference_servable_all` sweeps every query, with no
-symmetry reduction.
+symmetry reduction. `reference_min_length` is the optimal-length
+sweep with no distance filter and no skipped candidates.
 """
 
 from __future__ import annotations
@@ -133,6 +134,36 @@ def reference_servable_all(
         if not brute_plan_exists(code, combo, r, sums):
             return False, combo
     return True, None
+
+
+def reference_min_length(
+    k: int, t: int, mode: str, r: int | None, n_max: int
+) -> tuple[int | None, list[str] | None, int]:
+    """Every systematic [I | A] with k <= n <= n_max, in the search's
+    order: parity columns as k-bit values, most significant bit in row
+    1, in nondecreasing tuples, shorter codes first. Each candidate
+    passes when `brute_plan_exists` serves every size-t query (mode
+    "batch") or every uniform one (mode "pir"). Returns (n, witness
+    rows, candidates tested) for the first passing candidate, or
+    (None, None, candidates tested)."""
+    nodes = 0
+    for n in range(k, n_max + 1):
+        for combo in combinations_with_replacement(range(1 << k), n - k):
+            nodes += 1
+            rows = [
+                "".join("1" if j == i else "0" for j in range(k))
+                + "".join(str(v >> (k - 1 - i) & 1) for v in combo)
+                for i in range(k)
+            ]
+            code = LinearCode.from_text("\n".join(rows))
+            sums = subset_sum_table(code)
+            if mode == "batch":
+                queries = combinations_with_replacement(range(1, k + 1), t)
+            else:
+                queries = ((i,) * t for i in range(1, k + 1))
+            if all(brute_plan_exists(code, q, r, sums) for q in queries):
+                return n, rows, nodes
+    return None, None, nodes
 
 
 def reference_plan(

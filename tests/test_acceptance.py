@@ -292,3 +292,23 @@ def test_criterion_18_strict_subcube23_info_availability_under_10s():
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
     print(f"criterion 18: strict subcube(2,3) info availability 7 in {elapsed:.3f}s")
+
+
+def test_criterion_19_capped_k5_searches_under_4s():
+    cells = [
+        ((5, 3, "batch", 1), None, 435897, None),
+        ((5, 2, "batch", 1), 10, 117736,
+         ["1000000001", "0100000010", "0010000100", "0001001000", "0000110000"]),
+        ((5, 3, "pir", 2), 10, 208926,
+         ["1000000011", "0100000101", "0010001010", "0001010100", "0000111000"]),
+    ]
+    start = time.perf_counter()
+    for args, optimal_n, nodes, rows in cells:
+        res = min_length(*args)
+        assert (res.optimal_n, res.nodes_explored) == (optimal_n, nodes), args
+        if res.found:
+            gen = res.witness.generator
+            assert [str(gen.row(i)) for i in range(1, 6)] == rows, args
+    elapsed = time.perf_counter() - start
+    assert elapsed < 4.0, f"took {elapsed:.2f}s"
+    print(f"criterion 19: capped (5,3), (5,2) and PIR (5,3) searches in {elapsed:.3f}s")

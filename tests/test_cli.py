@@ -201,9 +201,10 @@ class TestQuery:
         ]
 
     def test_malformed_query(self, capsys, subcube_file):
-        code, out, err = run(capsys, ["query", subcube_file, "1,x"])
-        assert code == 2
-        assert err.startswith("error:")
+        for text in ("1,x", "1_0", "\u0661,\u0662", "+1"):
+            code, out, err = run(capsys, ["query", subcube_file, text])
+            assert code == 2, text
+            assert err.startswith("error:")
 
     def test_bad_cap(self, capsys, subcube_file):
         code, out, err = run(capsys, ["query", subcube_file, "1,1", "--r-cap", "0"])

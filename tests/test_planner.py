@@ -72,7 +72,9 @@ class TestQuery:
         assert str(q) == "1,1,2"
 
     def test_parse_errors(self):
-        for text in ("", "1,,2", "1,a", "0", "-1,2"):
+        # Only ASCII decimal digits: int() would read "1_0" as 10, the
+        # Arabic-Indic digits as 1,2 and "+1" as 1.
+        for text in ("", "1,,2", "1,a", "0", "-1,2", "1_0", "\u0661,\u0662", "+1"):
             with pytest.raises(InvalidQueryError):
                 Query.parse(text)
         with pytest.raises(InvalidQueryError):

@@ -14,7 +14,7 @@ from batchcodes import (
     redundancy_table,
 )
 from batchcodes.search import _distance_filter, _passes, _systematic_candidate
-from oracles import brute_plan_exists, subset_sum_table
+from oracles import brute_plan_exists, reference_min_length, subset_sum_table
 
 
 def witness_rows(result):
@@ -111,6 +111,9 @@ class TestMinLength:
         for bad in (-1, 2.5, "2"):
             with pytest.raises(ValueError, match="^max_slack must be an integer >= 0,"):
                 min_length(2, 2, max_slack=bad)
+        for bad in (0, 4.5, "5", None):
+            with pytest.raises(ValueError, match="^max_k must be an integer >= 1,"):
+                min_length(2, 2, max_k=bad)
 
     def test_raised_guards_allow_more(self):
         res = min_length(2, 3, n_max=8, max_slack=6)
@@ -126,6 +129,13 @@ class TestMinLength:
             (4, 4, "pir", 2, None, 20349, None),
             (5, 3, "batch", None, 9, 26050,
              ["100000011", "010000101", "001000110", "000101001", "000011010"]),
+            (5, 3, "batch", 1, None, 435897, None),
+            (5, 2, "batch", 1, 10, 117736,
+             ["1000000001", "0100000010", "0010000100", "0001001000",
+              "0000110000"]),
+            (5, 3, "pir", 2, 10, 208926,
+             ["1000000011", "0100000101", "0010001010", "0001010100",
+              "0000111000"]),
         ],
     )
     def test_k4_k5_cells(self, k, t, mode, r_cap, optimal_n, nodes, rows):
@@ -133,6 +143,46 @@ class TestMinLength:
         assert res.optimal_n == optimal_n
         assert res.nodes_explored == nodes
         assert (witness_rows(res) if res.found else None) == rows
+
+    @pytest.mark.parametrize(
+        "ks, ts",
+        [((1, 2, 3), (1, 2, 3, 4)), ((4,), (1, 2))],
+        ids=["k<=3", "k=4,t<=2"],
+    )
+    def test_matches_plain_sweep(self, ks, ts):
+        # The oracle has no distance filter and no skips, so equal
+        # witnesses and counts show that every skipped candidate fails.
+        for k in ks:
+            for t in ts:
+                for mode in ("batch", "pir"):
+                    for r in (None, 1, 2):
+                        res = min_length(k, t, mode, r)
+                        got = (
+                            res.optimal_n,
+                            witness_rows(res) if res.found else None,
+                            res.nodes_explored,
+                        )
+                        want = reference_min_length(k, t, mode, r, res.n_max)
+                        assert got == want, (k, t, mode, r)
+
+    @pytest.mark.parametrize(
+        "k, t, mode, r_cap, nodes, tested",
+        [(5, 3, "batch", 1, 435897, 1060), (4, 4, "pir", 2, 20349, 15)],
+    )
+    def test_few_candidates_reach_the_planner(
+        self, monkeypatch, k, t, mode, r_cap, nodes, tested
+    ):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _passes(*args)
+
+        monkeypatch.setattr(search_module, "_passes", counting)
+        res = min_length(k, t, mode, r_cap)
+        assert not res.found
+        assert res.nodes_explored == nodes
+        assert len(calls) == tested
 
 
 def filter_accepts(k: int, t: int, n_max: int, parity_values: tuple[int, ...]) -> bool:
@@ -186,9 +236,11 @@ class TestDistanceFilter:
 
         monkeypatch.setattr(search_module, "_systematic_candidate", counting)
         res = min_length(4, 4)
-        # 11 245 of the 11 248 candidates have a codeword of weight < 4.
+        # 11 245 of the 11 248 candidates have a codeword of weight < 4,
+        # and one of the other three, (0, 7, 11, 13, 14), is another,
+        # (7, 11, 13, 14), with a zero column added.
         assert res.nodes_explored == 11248
-        assert len(built) == 3
+        assert len(built) == 2
         assert all(
             _systematic_candidate(4, combo).min_distance() >= 4 for combo in built
         )
@@ -228,3 +280,17 @@ class TestRedundancyTable:
         for bad in (-1, 0.5, "1"):
             with pytest.raises(ValueError, match="^n_slack must be an integer >= 0,"):
                 redundancy_table(1, 1, n_slack=bad)
+        for bad in (0, 4.5, "5", None):
+            with pytest.raises(ValueError, match="^max_k must be an integer >= 1,"):
+                redundancy_table(1, 1, max_k=bad)
+
+    def test_k_guard_before_any_sweep(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            search_module, "min_length", lambda *a, **kw: calls.append(a)
+        )
+        with pytest.raises(
+            CapacityError, match="^k_max = 6 exceeds the search guard max_k = 5$"
+        ):
+            redundancy_table(6, 3, n_slack=5, r_cap=1)
+        assert calls == []
