@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Mapping
 
-from .errors import InsufficientDataError, NotApplicableError
+from .errors import InsufficientDataError, NotApplicableError, check_int
 from .profiler import CodeProfile
-from .recovery import check_int
 
 __all__ = [
     "BoundVerdict",

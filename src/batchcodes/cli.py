@@ -15,10 +15,9 @@ from pathlib import Path
 
 from . import constructions
 from .bounds import evaluate_bounds
-from .errors import BatchCodeError
+from .errors import BatchCodeError, check_int
 from .gf2 import LinearCode, format_matrix, parse_matrix
 from .planner import Query, QueryPlanner
-from .recovery import check_int
 from .report import (
     build_report,
     bounds_to_dicts,

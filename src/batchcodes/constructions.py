@@ -10,9 +10,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Sequence
 
-from .errors import CapacityError
+from .errors import CapacityError, check_int
 from .gf2 import BitMatrix, LinearCode, reverse_bits
-from .recovery import check_int
 
 __all__ = [
     "identity",

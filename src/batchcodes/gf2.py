@@ -6,11 +6,14 @@ column j, and a column is an int whose bit i-1 is row i. Bit j of an
 integer literal therefore reads right to left relative to the printed
 matrix; use the from_bits / from_rows constructors when writing values
 out longhand.
+
+Lengths, words, positions, rows and columns go through
+`errors.check_int` and raise DimensionError unless they are integers in
+range; bits raise ValueError.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -21,6 +24,7 @@ from .errors import (
     DimensionError,
     MatrixParseError,
     RankDeficiencyError,
+    check_int,
 )
 
 __all__ = [
@@ -35,17 +39,6 @@ __all__ = [
 ]
 
 _ROW_CHARS = frozenset("01 \t")
-
-
-def _check_size(what: str, value: int) -> None:
-    """Raise DimensionError unless `value` is an integer >= 1, as
-    `operator.index` reads it: 2.5 and "2" are rejected, not truncated."""
-    try:
-        ok = operator.index(value) >= 1
-    except TypeError:
-        ok = False
-    if not ok:
-        raise DimensionError(f"{what} must be an integer >= 1, got {value!r}")
 
 
 def reverse_bits(word: int, width: int) -> int:
@@ -65,29 +58,27 @@ class BitVector:
     word: int = 0
 
     def __post_init__(self):
-        _check_size("vector length", self.length)
-        if not 0 <= self.word < (1 << self.length):
-            raise DimensionError(
-                f"word {self.word:#x} does not fit in {self.length} bits"
-            )
+        length = check_int("vector length", self.length, error=DimensionError)
+        word = check_int(
+            "word", self.word, least=0, most=(1 << length) - 1, error=DimensionError
+        )
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "word", word)
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitVector":
         word = 0
         n = 0
         for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"bit values must be 0 or 1, got {b!r}")
-            word |= b << n
+            word |= check_int("bit", b, least=0, most=1) << n
             n += 1
         return cls(n, word)
 
     @classmethod
     def unit(cls, length: int, position: int) -> "BitVector":
         """Standard basis vector e_position (1-indexed)."""
-        _check_size("vector length", length)
-        if not 1 <= position <= length:
-            raise DimensionError(f"position {position} outside 1..{length}")
+        length = check_int("vector length", length, error=DimensionError)
+        position = check_int("position", position, most=length, error=DimensionError)
         return cls(length, 1 << (position - 1))
 
     @classmethod
@@ -96,8 +87,9 @@ class BitVector:
 
     def bit(self, position: int) -> int:
         """Entry at 1-indexed `position`."""
-        if not 1 <= position <= self.length:
-            raise DimensionError(f"position {position} outside 1..{self.length}")
+        position = check_int(
+            "position", position, most=self.length, error=DimensionError
+        )
         return (self.word >> (position - 1)) & 1
 
     def bits(self) -> tuple[int, ...]:
@@ -133,14 +125,16 @@ class BitMatrix:
     row_words: tuple[int, ...]
 
     def __post_init__(self):
-        _check_size("column count", self.n)
-        if not self.row_words:
+        n = check_int("column count", self.n, error=DimensionError)
+        most = (1 << n) - 1
+        rows = tuple(
+            check_int(f"row {i} word", w, least=0, most=most, error=DimensionError)
+            for i, w in enumerate(self.row_words, 1)
+        )
+        if not rows:
             raise DimensionError("matrix needs at least one row")
-        object.__setattr__(self, "row_words", tuple(self.row_words))
-        limit = 1 << self.n
-        for i, w in enumerate(self.row_words, 1):
-            if not 0 <= w < limit:
-                raise DimensionError(f"row {i} does not fit in {self.n} columns")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "row_words", rows)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Iterable[int]]) -> "BitMatrix":
@@ -161,20 +155,16 @@ class BitMatrix:
 
     def entry(self, i: int, j: int) -> int:
         """Entry at 1-indexed (row i, column j)."""
-        if not 1 <= i <= self.k:
-            raise DimensionError(f"row {i} outside 1..{self.k}")
-        if not 1 <= j <= self.n:
-            raise DimensionError(f"column {j} outside 1..{self.n}")
+        i = check_int("row", i, most=self.k, error=DimensionError)
+        j = check_int("column", j, most=self.n, error=DimensionError)
         return (self.row_words[i - 1] >> (j - 1)) & 1
 
     def row(self, i: int) -> BitVector:
-        if not 1 <= i <= self.k:
-            raise DimensionError(f"row {i} outside 1..{self.k}")
+        i = check_int("row", i, most=self.k, error=DimensionError)
         return BitVector(self.n, self.row_words[i - 1])
 
     def column_word(self, j: int) -> int:
-        if not 1 <= j <= self.n:
-            raise DimensionError(f"column {j} outside 1..{self.n}")
+        j = check_int("column", j, most=self.n, error=DimensionError)
         word = 0
         for i, r in enumerate(self.row_words):
             word |= ((r >> (j - 1)) & 1) << i
@@ -423,6 +413,7 @@ class LinearCode:
     def min_distance(self, max_k: int = 24) -> int:
         """Minimum codeword weight by Gray-code enumeration of all 2^k - 1
         nonzero messages. Refuses k > max_k."""
+        max_k = check_int("max_k", max_k)
         if self._distance is None:
             if self.k > max_k:
                 raise CapacityError(

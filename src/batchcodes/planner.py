@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .errors import InvalidQueryError
+from .errors import InvalidQueryError, check_cap, check_int
 from .gf2 import BitVector, LinearCode
 # perfbench/tracer.py patches `enumerate_recovery_sets` and
 # `max_disjoint_packing` here by name.
@@ -23,8 +23,6 @@ from .recovery import (
     RecoveryEnumeration,
     RecoverySet,
     _columns,
-    check_cap,
-    check_int,
     circuit_sweep,
     enumerate_recovery_sets,
     max_disjoint_packing,
@@ -52,24 +50,20 @@ _MEMO_LIMIT = 256
 class Query:
     """Multiset of requested information symbols, stored sorted (canonical).
 
-    Indices must be integers (`operator.index`): 1.7, 2.0 and "2" are
-    rejected, not truncated or converted. `parse` reads query text.
+    Indices must be integers >= 1 (`errors.check_int`): 1.7, 2.0 and
+    "2" are rejected, not truncated or converted. `parse` reads query
+    text.
     """
 
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            canonical = tuple(sorted(operator.index(i) for i in self.indices))
-        except TypeError as exc:
-            raise InvalidQueryError(f"query indices must be integers: {exc}")
-        if not canonical:
+        indices = [
+            check_int("query index", i, error=InvalidQueryError) for i in self.indices
+        ]
+        if not indices:
             raise InvalidQueryError("query must request at least one symbol")
-        if canonical[0] < 1:
-            raise InvalidQueryError(
-                f"symbol indices are 1-based, got {canonical[0]}"
-            )
-        object.__setattr__(self, "indices", canonical)
+        object.__setattr__(self, "indices", tuple(sorted(indices)))
 
     def check_within(self, k: int) -> None:
         """Reject a query naming a symbol above k."""
@@ -156,11 +150,16 @@ class QueryPlanner:
 
     def candidates(self, symbol: int) -> tuple[RecoverySet, ...]:
         """Complete list of minimal recovery sets for e_symbol within the cap."""
+        symbol = check_int("symbol", symbol, most=self._code.k, error=InvalidQueryError)
         self._ensure(symbol, None)
         return self._lists[symbol].sets
 
     def max_packing(self, symbol: int) -> int:
         """Exact maximum number of pairwise-disjoint recovery sets for e_symbol."""
+        symbol = check_int("symbol", symbol, most=self._code.k, error=InvalidQueryError)
+        return self._max_packing(symbol)
+
+    def _max_packing(self, symbol: int) -> int:
         if symbol not in self._packing:
             self._ensure(symbol, None)
             self._packing[symbol] = max_disjoint_packing(
@@ -197,7 +196,7 @@ class QueryPlanner:
                     BitVector.unit(k, sym), tuple(masks), False
                 )
                 self._tables.pop(sym, None)
-        return tuple(self.max_packing(sym) for sym in range(1, k + 1))
+        return tuple(self._max_packing(sym) for sym in range(1, k + 1))
 
     def serve(self, query: Query | Iterable[int]) -> ServingPlan | None:
         """A serving plan for `query`, or None when provably none exists.
@@ -362,10 +361,8 @@ class QueryPlanner:
         return view
 
     def _ensure(self, symbol: int, cap: int | None) -> None:
-        if not 1 <= symbol <= self._code.k:
-            raise InvalidQueryError(
-                f"symbol {symbol} outside 1..{self._code.k}"
-            )
+        """Enumerate the list of `symbol`, an integer in 1..k, at `cap`
+        unless the current list already serves it."""
         # A cut list holds exactly the cap it was enumerated at.
         known = self._lists.get(symbol)
         if known is not None and (
@@ -531,24 +528,30 @@ def plan_is_valid(
     """Independent revalidation of a plan against code, query, and cap.
 
     Recomputes every recovery-set sum straight from the generator
-    columns; shares no logic with the planner search.
+    columns; shares no logic with the planner search. A position or
+    column that is not an integer (`operator.index`) makes the plan
+    invalid.
     """
     q = query if isinstance(query, Query) else Query(tuple(query))
-    if len(plan.assignments) != q.t:
+    try:
+        positions = [operator.index(pos) for pos, _ in plan.assignments]
+        members = [
+            [operator.index(j) for j in rs.columns] for _, rs in plan.assignments
+        ]
+    except TypeError:
         return False
-    if tuple(pos for pos, _ in plan.assignments) != tuple(range(1, q.t + 1)):
+    if positions != list(range(1, q.t + 1)):
         return False
     cols = code.column_words
     used = 0
-    for pos, rs in plan.assignments:
-        symbol = q.indices[pos - 1]
-        if r is not None and rs.size > r:
+    for symbol, columns in zip(q.indices, members):
+        if r is not None and len(columns) > r:
             return False
-        if len(set(rs.columns)) != rs.size:
+        if len(set(columns)) != len(columns):
             return False
         mask = 0
         acc = 0
-        for j in rs.columns:
+        for j in columns:
             if not 1 <= j <= code.n:
                 return False
             mask |= 1 << (j - 1)

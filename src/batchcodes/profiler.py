@@ -33,14 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotSystematicError
+from .errors import NotSystematicError, check_cap, check_int
 from .gf2 import LinearCode
 from .planner import QueryPlanner
 # perfbench/tracer.py patches `enumerate_recovery_sets` and
 # `max_disjoint_packing` here by name.
 from .recovery import (  # noqa: F401
-    check_cap,
-    check_int,
     circuit_sweep,
     enumerate_recovery_sets,
     max_disjoint_packing,
@@ -243,14 +241,19 @@ def corollary_check(
 
     For a systematic code, [pir_t(code, r) >= t] must coincide with
     [every e_i admits t-1 pairwise-disjoint recovery sets of size at
-    most r avoiding column sigma(i)]. Both sides are computed
-    independently; returns whether they agree (always True unless
+    most r avoiding column sigma(i)]. The two sides take different
+    paths: the left packs each symbol's list from its own recovery-set
+    search (`QueryPlanner.max_packing`, one `enumerate_recovery_sets`
+    per symbol), the right reads the strict profile off one circuit
+    sweep over the identity columns (`info_lrc_profile` with
+    include_self=False). Returns whether they agree (always True unless
     something is broken).
     """
     t = check_int("t", t)
     if not code.is_systematic:
         raise NotSystematicError("corollary_check requires a systematic code")
-    lhs = pir_t(code, r) >= t
+    planner = QueryPlanner(code, r)
+    lhs = min(planner.max_packing(i) for i in range(1, code.k + 1)) >= t
     info = info_lrc_profile(code, r=r, include_self=False)
     rhs = info.availability >= t - 1
     return lhs == rhs

@@ -33,23 +33,24 @@ Sets stay column masks, as the search finds them, until a caller asks
 for `RecoverySet`s: `RecoveryEnumeration.sets` decodes its masks the
 first time it is read. The planner searches and packs on the masks and
 decodes only the lists it returns plans or candidates from.
+
+Arguments go through the package's one integer rule (`errors.check_int`):
+an excluded column must be an integer in 1..n (DimensionError), and the
+`max_size` and `max_count` caps None or an integer >= 1 (ValueError).
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, InvalidTargetError
+from .errors import DimensionError, InvalidTargetError, check_cap, check_int
 from .gf2 import BitVector, LinearCode
 
 __all__ = [
     "RecoverySet",
     "RecoveryEnumeration",
-    "check_cap",
-    "check_int",
     "enumerate_recovery_sets",
     "max_disjoint_packing",
 ]
@@ -129,8 +130,7 @@ def enumerate_recovery_sets(
         raise InvalidTargetError("recovery target must be nonzero")
     skip = 0
     for j in excluded:
-        if not 1 <= j <= code.n:
-            raise DimensionError(f"excluded column {j} outside 1..{code.n}")
+        j = check_int("excluded column", j, most=code.n, error=DimensionError)
         skip |= 1 << (j - 1)
     max_size = check_cap("max_size", max_size)
     max_count = check_cap("max_count", max_count)
@@ -148,31 +148,6 @@ def _columns(mask: int) -> tuple[int, ...]:
         columns.append(low.bit_length())
         mask ^= low
     return tuple(columns)
-
-
-def check_int(name: str, value: int, least: int = 1) -> int:
-    """`value` checked as a size or count parameter: an integer >= `least`
-    is returned (as `operator.index` gives it), anything else raises
-    ValueError naming the parameter `name`.
-
-    Every public entry point checks its sizes and counts here: the
-    paper's parameters and bounds are integers, and the search below
-    stops at depth `max_size` and at `max_count` + 1 sets by equality,
-    so a fractional cap would never stop it.
-    """
-    try:
-        number = operator.index(value)
-    except TypeError:
-        number = None
-    if number is None or number < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return number
-
-
-def check_cap(name: str, value: int | None) -> int | None:
-    """`value` checked as a size or count cap: None (no cap), or an
-    integer >= 1 as `check_int` checks it."""
-    return None if value is None else check_int(name, value)
 
 
 def minimal_set_masks(

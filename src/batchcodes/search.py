@@ -41,10 +41,9 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .constructions import _code_from_columns
-from .errors import CapacityError
+from .errors import CapacityError, check_cap, check_int
 from .gf2 import LinearCode, reverse_bits
 from .planner import QueryPlanner
-from .recovery import check_cap, check_int
 
 __all__ = ["SearchResult", "min_length", "redundancy_table"]
 

@@ -112,6 +112,8 @@ class TestBitMatrix:
             BitMatrix.from_rows([[1, 0], [1]])
         with pytest.raises(DimensionError):
             BitMatrix(2, (0b100,))
+        with pytest.raises(DimensionError):
+            BitMatrix(2, iter(()))  # no rows, though the iterator is truthy
         m = BitMatrix(2, (0b11,))
         with pytest.raises(DimensionError):
             m.entry(2, 1)

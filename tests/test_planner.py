@@ -615,6 +615,16 @@ class TestPlanIsValid:
         assert not plan_is_valid(code, q, bad_positions)
         assert not plan_is_valid(code, Query((1,)), good)
         assert not plan_is_valid(code, q, good, r=1)
+        # Columns and positions must be integers: 2.0 is not column 2.
+        for bad in (1.5, 2.0, "1"):
+            not_int = ServingPlan(
+                ((1, RecoverySet(e1, (1,))), (2, RecoverySet(e1, (bad, 3))))
+            )
+            assert not plan_is_valid(code, q, not_int)
+            bad_position = ServingPlan(
+                ((1, RecoverySet(e1, (1,))), (bad, RecoverySet(e1, (2, 3))))
+            )
+            assert not plan_is_valid(code, q, bad_position)
 
     def test_swapped_assignment_order_is_fine(self):
         # Positions must be 1..t in order, but which set serves which

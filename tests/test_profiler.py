@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import batchcodes.planner as planner_module
+import batchcodes.profiler as profiler_module
 from batchcodes import (
     BitMatrix,
     LinearCode,
@@ -215,6 +217,32 @@ class TestCorollaryCheck:
             for r in (1, 2, None):
                 for t in (1, 2, 3):
                     assert corollary_check(code, t, r), (name, r, t)
+
+    def test_sides_take_different_paths(self, monkeypatch):
+        """The left side enumerates each symbol on its own, the right
+        reads one circuit sweep over the identity columns."""
+        code = paired_parity(4)
+        enumerated: list = []
+        swept: list = []
+        real_enumerate = planner_module.enumerate_recovery_sets
+        real_sweep = profiler_module.circuit_sweep
+
+        def enumerate_counting(code, target, *args, **kwargs):
+            enumerated.append(target.word)
+            return real_enumerate(code, target, *args, **kwargs)
+
+        def sweep_counting(code, columns, cap):
+            swept.append(columns)
+            return real_sweep(code, columns, cap)
+
+        monkeypatch.setattr(
+            planner_module, "enumerate_recovery_sets", enumerate_counting
+        )
+        monkeypatch.setattr(planner_module, "circuit_sweep", sweep_counting)
+        monkeypatch.setattr(profiler_module, "circuit_sweep", sweep_counting)
+        assert corollary_check(code, 2)
+        assert enumerated == [1 << i for i in range(code.k)]
+        assert swept == [list(code.identity_column_map().values())]
 
     def test_validation(self):
         with pytest.raises(NotSystematicError):
