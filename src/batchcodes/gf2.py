@@ -43,6 +43,8 @@ _ROW_CHARS = frozenset("01 \t")
 
 def reverse_bits(word: int, width: int) -> int:
     """Reverse the low `width` bits of `word` (big-endian <-> little-endian)."""
+    word = check_int("word", word, least=0, error=DimensionError)
+    width = check_int("width", width, error=DimensionError)
     out = 0
     for _ in range(width):
         out = (out << 1) | (word & 1)
@@ -391,6 +393,15 @@ class LinearCode:
         """The columns' pivot basis, which every recovery-set search of
         this code runs on (see `recovery.minimal_set_masks`)."""
         return PivotBasis.from_columns(self.column_words)
+
+    @cached_property
+    def _circuits(self):
+        """The circuits of the column matroid found so far, which the
+        repair profiles and the planner's packings read (see
+        `recovery.circuit_sets`)."""
+        from .recovery import _CircuitStore  # recovery imports this module
+
+        return _CircuitStore()
 
     def column(self, j: int) -> BitVector:
         return self._generator.column(j)

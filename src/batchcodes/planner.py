@@ -23,7 +23,7 @@ from .recovery import (
     RecoveryEnumeration,
     RecoverySet,
     _columns,
-    circuit_sweep,
+    circuit_sets,
     enumerate_recovery_sets,
     max_disjoint_packing,
 )
@@ -171,14 +171,15 @@ class QueryPlanner:
         """`max_packing` of every symbol 1..k, in order.
 
         When the code has every unit column, the complete lists of all
-        symbols come from one circuit sweep over the identity columns
-        at cap r (`recovery.circuit_sweep`), which enumerates a circuit
-        through j identity columns once rather than j times. A minimal
-        set of e_i either is the identity column sigma(i) alone or
-        avoids it, so each list is e_i's sets from the sweep plus
-        {sigma(i)}, put in lexicographic order: the list `candidates`
-        returns. Without every unit column, each symbol is enumerated
-        on its own.
+        symbols are read at cap r from the code's circuit store over
+        the identity columns (`recovery.circuit_sets`), which
+        enumerates a circuit through j identity columns once rather
+        than j times, and shares it with the repair profiles and every
+        other planner of the code. A minimal set of e_i either is the
+        identity column sigma(i) alone or avoids it, so each list is
+        e_i's sets from the store plus {sigma(i)}, put in lexicographic
+        order: the list `candidates` returns. Without every unit
+        column, each symbol is enumerated on its own.
         """
         k = self._code.k
         colmap = self._code.identity_column_map()
@@ -187,7 +188,7 @@ class QueryPlanner:
             s for s in range(1, k + 1) if s not in lists or lists[s].truncated
         ]
         if colmap is not None and stale:
-            found = circuit_sweep(self._code, list(colmap.values()), self._r)
+            found = circuit_sets(self._code, list(colmap.values()), self._r)
             for sym in stale:
                 masks = sorted(
                     found[sym - 1] + [1 << (colmap[sym] - 1)], key=_columns

@@ -12,17 +12,18 @@ at t = pir_t and steps down only while a sweep fails; where batch_t
 equals pir_t, as it does for every named family, that is one sweep.
 
 A minimal recovery set of column j that avoids j is, together with j,
-a circuit of the generator's column matroid. The repair profiles are
-read off one sweep over these circuits (`recovery.circuit_sweep`),
+a circuit of the generator's column matroid. The repair profiles read
+these circuits from the code's circuit store (`recovery.circuit_sets`),
 which enumerates each circuit once, however many target columns it
-holds. The same sweep gives every symbol's smallest set size: an
-uncapped one holds it outright, and a capped one is deepened until
-every symbol in some circuit has a set.
+holds, and which the packings below share. The store gives every
+symbol's smallest set size too: an uncapped request holds it outright,
+and a capped one is deepened until every symbol in some circuit has a
+set, which happens by size k.
 
 The PIR packings and the information-symbol entries of `profile` are
 read off the query planner that serves its batch sweeps. On a code
-with every unit column, `QueryPlanner.packings` fills all k complete
-lists from one circuit sweep over the identity columns. Each batch
+with every unit column, `QueryPlanner.packings` reads all k complete
+lists from the circuit store over the identity columns. Each batch
 sweep tests one query per orbit of interchangeable symbols, and serves
 most of them by extending the previous query's plan
 (`QueryPlanner.servable_all`).
@@ -39,7 +40,7 @@ from .planner import QueryPlanner
 # perfbench/tracer.py patches `enumerate_recovery_sets` and
 # `max_disjoint_packing` here by name.
 from .recovery import (  # noqa: F401
-    circuit_sweep,
+    circuit_sets,
     enumerate_recovery_sets,
     max_disjoint_packing,
 )
@@ -139,26 +140,30 @@ def _repair_profile(
 
     The packing cap is r. With r=None it is unbounded, or, when
     `cap_at_locality` and no nonzero target is a coloop, the locality.
-    An unbounded cap takes one uncapped circuit sweep. Otherwise the
-    sweep's cap deepens from r (from 1 for the locality) until every
-    target in some circuit has a set; that sweep then holds each
-    target's smallest set and every set up to the packing cap.
+    The sets come from the code's circuit store, asked for the targets
+    in some circuit (the live ones) at size k when the cap is
+    unbounded, and otherwise at sizes deepening from r (from 1 for the
+    locality) until every live target has a set. The last answer holds
+    each target's smallest set and every set up to the packing cap. A
+    live column lies in a circuit of at most k + 1 columns, so the
+    deepening ends by size k, or the store is broken.
     """
     words = code.column_words
     nonzero = [c for _, c in targets if words[c - 1]]
     coloops = code.pivot_basis.coloops
     live = [c for c in nonzero if not coloops >> (c - 1) & 1]
-    cap = r
-    if r is None and (not cap_at_locality or len(live) < len(nonzero)):
-        sets = circuit_sweep(code, live, None)
-    else:
-        size = r or 1
-        sets = circuit_sweep(code, live, size)
-        while not all(sets):
-            size += 1
-            sets = circuit_sweep(code, live, size)
-        if r is None:
-            cap = size
+    unbounded = r is None and (not cap_at_locality or len(live) < len(nonzero))
+    size = code.k if unbounded else r or 1
+    sets = circuit_sets(code, live, size)
+    # A circuit has at most rank + 1 = k + 1 columns.
+    while not all(sets) and size < code.k:
+        size += 1
+        sets = circuit_sets(code, live, size)
+    if not all(sets):
+        raise RuntimeError(
+            "broken invariant: a nonzero column that is not a coloop lies in a circuit"
+        )
+    cap = r if r is not None or unbounded else size
     by_column = dict(zip(live, sets))
     entries = []
     for index, c in targets:
@@ -186,8 +191,8 @@ def lrc_profile(code: LinearCode, r: int | None = None) -> LrcProfile:
     With r=None the availability cap defaults to the code's own
     locality, pairing the two parameters the way a locality/availability
     claim is normally stated; pass an explicit r to cap differently.
-    Sizes and packings come from one circuit sweep over all columns,
-    which lists each circuit once rather than once per column in it.
+    Sizes and packings come from the code's circuit store, which lists
+    each circuit once rather than once per column in it.
     """
     r = check_cap("r", r)
     targets = [(j, j) for j in range(1, code.n + 1)]
@@ -206,7 +211,7 @@ def info_lrc_profile(
 
     With the identity columns in play, every smallest set has size 1
     and the packings are those of a `QueryPlanner(code, r)`.
-    include_self=False reads each e_i off one circuit sweep
+    include_self=False reads each e_i off the code's circuit store
     over the identity columns, the way `lrc_profile` does over all.
     """
     r = check_cap("r", r)
@@ -244,10 +249,10 @@ def corollary_check(
     most r avoiding column sigma(i)]. The two sides take different
     paths: the left packs each symbol's list from its own recovery-set
     search (`QueryPlanner.max_packing`, one `enumerate_recovery_sets`
-    per symbol), the right reads the strict profile off one circuit
-    sweep over the identity columns (`info_lrc_profile` with
-    include_self=False). Returns whether they agree (always True unless
-    something is broken).
+    per symbol), the right reads the strict profile off the code's
+    circuit store over the identity columns (`info_lrc_profile` with
+    include_self=False) and enumerates nothing. Returns whether they
+    agree (always True unless something is broken).
     """
     t = check_int("t", t)
     if not code.is_systematic:

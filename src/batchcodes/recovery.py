@@ -24,10 +24,12 @@ the last-slot lookup; excluding columns only removes completions, so
 the lowest-bit bound stays a necessary condition.
 
 A minimal recovery set of a column's word that avoids that column is,
-with the column, a circuit of the column matroid. `circuit_sweep`
-lists such sets for many target columns at once and enumerates each
-circuit once, from the first target in it: the repair profiles and the
-planner's complete unit-vector lists are read off it.
+with the column, a circuit of the column matroid. Each code keeps one
+store of the circuits found so far (`circuit_sets`), which searches a
+column on its first request, a larger size by re-searching only the
+columns already searched, and enumerates each circuit once, from the
+first searched column in it. The repair profiles and the planner's
+complete unit-vector lists read it.
 
 Sets stay column masks, as the search finds them, until a caller asks
 for `RecoverySet`s: `RecoveryEnumeration.sets` decodes its masks the
@@ -237,35 +239,57 @@ def minimal_set_masks(
     return out, truncated
 
 
-def circuit_sweep(
-    code: LinearCode, columns: list[int], cap: int | None
-) -> list[list[int]]:
-    """For each target column c, the masks of the minimal recovery sets
-    of c's word that avoid c and have at most `cap` columns.
+class _CircuitStore:
+    """The circuits of one code's column matroid found so far, kept on
+    the code (`LinearCode._circuits`) and filled by `circuit_sets`.
 
-    Such a set, together with c, is a circuit of the column matroid, so
-    each circuit is enumerated once, from the first target it contains:
-    target c's sets avoid c and every earlier target (not every earlier
-    column), and each circuit goes, less c', to every target c' in it.
-    The target columns must be nonzero.
+    Every column in `swept`, a (column, skip) pair in search order, was
+    searched for minimal sets of at most `size` columns avoiding the
+    mask `skip`: the column itself and every column searched before it.
+    `sets[c]` holds the circuits found through column c, less c, as
+    column masks.
     """
-    words = code.column_words
-    slot = {1 << (c - 1): t for t, c in enumerate(columns)}
-    targets = sum(slot)
-    found: list[list[int]] = [[] for _ in columns]
-    skip = 0
-    for t, c in enumerate(columns):
-        bit = 1 << (c - 1)
-        skip |= bit
-        masks, _ = minimal_set_masks(code, words[c - 1], skip, cap)
-        found[t].extend(masks)
-        for mask in masks:
-            rest = mask & targets
-            while rest:
-                low = rest & -rest
-                found[slot[low]].append((mask ^ low) | bit)
-                rest ^= low
-    return found
+
+    def __init__(self) -> None:
+        self.size = 0
+        self.swept: list[tuple[int, int]] = []
+        self.sets: dict[int, list[int]] = {}
+
+
+def circuit_sets(
+    code: LinearCode, columns: list[int], size: int | None
+) -> list[list[int]]:
+    """For each column c of `columns`, which must be nonzero, the masks
+    of the minimal recovery sets of c's word that avoid c and have at
+    most `size` columns (None: k), in no fixed order.
+
+    Such a set, together with c, is a circuit of the column matroid.
+    The code's store enumerates each circuit once, from the first
+    searched column it holds, and searches only columns asked for:
+    - a larger size than the store's first re-searches the columns
+      already searched, in search order and with the same skip masks,
+      keeping only the sets above the old size;
+    - then each new column is searched at the store's size, avoiding
+      itself and every column searched before it.
+    Each circuit found goes, less c', to every column c' in it.
+    """
+    store = code._circuits
+    size = code.k if size is None else min(size, code.k)
+    jobs = [(c, skip, store.size) for c, skip in store.swept if store.size < size]
+    store.size = max(store.size, size)
+    # The last column searched skipped every column searched so far.
+    skip = store.swept[-1][1] if store.swept else 0
+    for c in columns:
+        if not skip >> (c - 1) & 1:
+            skip |= 1 << (c - 1)
+            store.swept.append((c, skip))
+            jobs.append((c, skip, 0))
+    for c, skip, done in jobs:
+        masks, _ = minimal_set_masks(code, code.column_words[c - 1], skip, store.size)
+        for circuit in (m | 1 << (c - 1) for m in masks if m.bit_count() > done):
+            for j in _columns(circuit):
+                store.sets.setdefault(j, []).append(circuit ^ 1 << (j - 1))
+    return [[m for m in store.sets.get(c, ()) if m.bit_count() <= size] for c in columns]
 
 
 def max_disjoint_packing(masks: Sequence[int]) -> int:

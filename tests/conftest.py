@@ -1,10 +1,13 @@
-"""Shared fixtures: the named-code corpus, a random code generator,
-hypothesis strategies for small generator matrices, and a counting
-stand-in for the recovery-set search."""
+"""Shared fixtures: a wall-clock limit on every test, the named-code
+corpus, a random code generator, hypothesis strategies for small
+generator matrices, a counting stand-in for the recovery-set search,
+and a check of a code's circuit store."""
 
 from __future__ import annotations
 
 import random
+import signal
+from collections import Counter
 
 import pytest
 from hypothesis import assume
@@ -22,6 +25,34 @@ from batchcodes import (
     subcube,
     triplicated_parity,
 )
+
+
+# Seconds any one test may run; the slowest takes about 1.5 s. A hang
+# then fails its test with a traceback, and pytest's
+# `faulthandler_timeout` (pyproject.toml) dumps every thread's stack if
+# the alarm cannot interrupt it.
+TEST_SECONDS = 60
+
+
+class OutOfTime(BaseException):
+    """A test ran past TEST_SECONDS. Not an Exception, so that neither
+    the code under test nor hypothesis (which would shrink, rerunning
+    the hang with no alarm left) catches it."""
+
+
+def _out_of_time(signum, frame):
+    raise OutOfTime(f"test ran past its {TEST_SECONDS} s limit")
+
+
+@pytest.fixture(autouse=True)
+def wall_clock_limit():
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def build_corpus() -> list[tuple[str, LinearCode]]:
@@ -140,3 +171,13 @@ def counting_searches(calls: list):
         return masks, truncated
 
     return counting
+
+
+def assert_circuits_stored_once(code: LinearCode) -> None:
+    """The code's circuit store lists each circuit it holds once under
+    each of its columns, less that column, and never twice."""
+    seen: Counter = Counter()
+    for c, masks in code._circuits.sets.items():
+        seen.update(m | 1 << (c - 1) for m in masks)
+    for circuit, count in seen.items():
+        assert count == circuit.bit_count(), bin(circuit)

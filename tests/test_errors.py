@@ -26,6 +26,7 @@ from batchcodes import (
     identity,
     min_length,
     pir_t,
+    reverse_bits,
     simplex,
 )
 
@@ -89,6 +90,8 @@ ENTRY_POINTS = [
     ("t", lambda v: corollary_check(CODE, v), 2, 1, None, ValueError),
     ("k", lambda v: identity(v), 2, 1, None, ValueError),
     ("k", lambda v: min_length(v, 1), 2, 1, None, ValueError),
+    ("word", lambda v: reverse_bits(v, 3), 5, 0, None, DimensionError),
+    ("width", lambda v: reverse_bits(5, v), 3, 1, None, DimensionError),
 ]
 
 
@@ -151,3 +154,4 @@ def test_check_int_messages():
         InvalidQueryError, match=r"^i must be an integer >= 1, got 2\.0$"
     ):
         errors.check_int("i", 2.0, error=InvalidQueryError)
+

@@ -34,6 +34,7 @@ from batchcodes import (
     triplicated_parity,
 )
 from conftest import (
+    assert_circuits_stored_once,
     column_matrix,
     counting_searches,
     random_systematic,
@@ -493,20 +494,25 @@ class TestPlannerState:
 
 
 class TestPackings:
-    """`packings` fills every complete list from one circuit sweep when
-    the code has every unit column."""
+    """`packings` fills every complete list from the code's circuit
+    store when the code has every unit column."""
 
     def test_enumerates_each_circuit_once(self, monkeypatch):
         # The four lists of simplex(4) hold 91 sets each besides the
         # identity column, 364 in all, but only 245 circuits pass
         # through an identity column: the search of e_i's column skips
-        # the identity columns before it.
+        # the identity columns before it. A second planner of the same
+        # code reads the store and searches nothing.
         calls: list = []
         monkeypatch.setattr(recovery, "minimal_set_masks", counting_searches(calls))
-        planner = QueryPlanner(simplex(4))
+        code = simplex(4)
+        planner = QueryPlanner(code)
         assert planner.packings() == (8, 8, 8, 8)
         assert [len(planner.candidates(i)) for i in range(1, 5)] == [92] * 4
-        assert calls == [(None, 91), (None, 68), (None, 50), (None, 36)]
+        assert calls == [(4, 91), (4, 68), (4, 50), (4, 36)]
+        assert QueryPlanner(code, 3).packings() == (8, 8, 8, 8)
+        assert len(calls) == 4
+        assert_circuits_stored_once(code)
 
     def test_without_every_unit_column_enumerates_each_symbol(self, monkeypatch):
         code = triplicated_parity(5)

@@ -34,11 +34,13 @@ from batchcodes import (
 )
 from batchcodes.gf2 import PivotBasis
 from conftest import (
+    assert_circuits_stored_once,
     column_matrix,
     counting_searches,
     random_systematic,
     small_codes,
     symmetric_codes,
+    systematic_codes,
 )
 from oracles import (
     brute_max_packing,
@@ -220,29 +222,28 @@ class TestCorollaryCheck:
 
     def test_sides_take_different_paths(self, monkeypatch):
         """The left side enumerates each symbol on its own, the right
-        reads one circuit sweep over the identity columns."""
+        reads the code's circuit store over the identity columns and
+        enumerates nothing."""
         code = paired_parity(4)
         enumerated: list = []
-        swept: list = []
+        stored: list = []
         real_enumerate = planner_module.enumerate_recovery_sets
-        real_sweep = profiler_module.circuit_sweep
+        real_store = profiler_module.circuit_sets
 
         def enumerate_counting(code, target, *args, **kwargs):
             enumerated.append(target.word)
             return real_enumerate(code, target, *args, **kwargs)
 
-        def sweep_counting(code, columns, cap):
-            swept.append(columns)
-            return real_sweep(code, columns, cap)
+        def store_counting(code, columns, size):
+            stored.append(columns)
+            return real_store(code, columns, size)
 
-        monkeypatch.setattr(
-            planner_module, "enumerate_recovery_sets", enumerate_counting
-        )
-        monkeypatch.setattr(planner_module, "circuit_sweep", sweep_counting)
-        monkeypatch.setattr(profiler_module, "circuit_sweep", sweep_counting)
+        for module in (planner_module, profiler_module):
+            monkeypatch.setattr(module, "enumerate_recovery_sets", enumerate_counting)
+            monkeypatch.setattr(module, "circuit_sets", store_counting)
         assert corollary_check(code, 2)
         assert enumerated == [1 << i for i in range(code.k)]
-        assert swept == [list(code.identity_column_map().values())]
+        assert stored == [list(code.identity_column_map().values())]
 
     def test_validation(self):
         with pytest.raises(NotSystematicError):
@@ -390,25 +391,62 @@ def test_profiles_match_reference(code, r):
     ids=["coloop", "simplex3+coloop", "simplex3"],
 )
 def test_unbounded_cap_sweeps_once(code, monkeypatch):
-    """An unbounded cap takes one uncapped sweep, with no deepening
-    first: at most one search per target."""
+    """An unbounded cap searches each target once at size k, with no
+    deepening first, and asking again searches nothing."""
     calls: list = []
     monkeypatch.setattr(recovery, "minimal_set_masks", counting_searches(calls))
     if code.pivot_basis.coloops:
         assert lrc_profile(code).cap is None
         assert 0 < len(calls) <= code.n
-        assert {size for size, _ in calls} == {None}
+        assert {size for size, _ in calls} == {code.k}
+        searched = len(calls)
+        lrc_profile(code)
+        assert len(calls) == searched
     calls.clear()
+    code = LinearCode(code.generator)  # a fresh store
     assert info_lrc_profile(code, include_self=False).cap is None
     assert 0 < len(calls) <= code.k
-    assert {size for size, _ in calls} == {None}
+    assert {size for size, _ in calls} == {code.k}
+
+
+def test_deepening_stops_at_k(monkeypatch):
+    """A search that finds no circuit through a column outside every
+    coloop is a broken invariant: the deepening stops at size k and
+    says so, where it used to loop for ever."""
+    sizes: list = []
+
+    def find_nothing(code, target, skip, max_size, max_count=None):
+        sizes.append(max_size)
+        return [], False
+
+    monkeypatch.setattr(recovery, "minimal_set_masks", find_nothing)
+    invariant = "a nonzero column that is not a coloop lies in a circuit"
+    with pytest.raises(RuntimeError, match=invariant):
+        lrc_profile(simplex(3))
+    assert max(sizes) == 3
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    code=st.one_of(systematic_codes(), small_codes()),
+    r=st.sampled_from([None, 1, 2, 3]),
+)
+def test_profile_records_each_circuit_once(code, r):
+    """The packings, the deepening repair profile and the strict info
+    profile of one `profile` share the code's circuit store, which lists
+    each circuit once under each of its columns."""
+    profile(code, r)
+    if code.is_systematic:
+        info_lrc_profile(code, r, include_self=False)
+    assert_circuits_stored_once(code)
 
 
 def test_one_pivot_basis_per_code(monkeypatch):
     """Every recovery-set search of one code instance shares one
-    elimination: the planner's symbols, the deepening sweeps of the
-    all-symbol profile, the strict info sweep, whose exclusions are not
-    a prefix, and the report's fresh planner with its cap doubling
+    elimination: the planner's symbols, the circuit store's searches,
+    whose exclusions are not a prefix, at every size the packings and
+    the repair profiles ask for, and the report's fresh planner with
+    its cap doubling
     (e_1 of simplex(4) has 92 sets; eight copies of it need more than
     the first 64)."""
     builds: list = []

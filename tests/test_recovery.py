@@ -24,7 +24,13 @@ from batchcodes import (
     simplex,
     subcube,
 )
-from conftest import column_matrix, counting_searches, random_systematic, small_codes
+from conftest import (
+    assert_circuits_stored_once,
+    column_matrix,
+    counting_searches,
+    random_systematic,
+    small_codes,
+)
 from oracles import (
     brute_max_packing,
     brute_minimal_recovery_sets,
@@ -282,19 +288,33 @@ def _code(k: int, columns: list[int]) -> LinearCode:
     return LinearCode(column_matrix(k, columns))
 
 
+@st.composite
+def store_requests(draw):
+    """A small code and four requests to its circuit store, one per cap
+    in random order, each for a random list of nonzero columns."""
+    code = draw(small_codes())
+    nonzero = [j for j, w in enumerate(code.column_words, 1) if w]
+    columns = st.lists(st.sampled_from(nonzero), min_size=1, unique=True)
+    caps = draw(st.permutations([None, 1, 2, 3]))
+    return code, [(draw(columns), cap) for cap in caps]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(code=small_codes(), r=st.sampled_from([None, 1, 2, 3]))
+@given(case=store_requests())
 # Identity columns not at the front; a duplicated identity column; a
 # zero column; column 4 outside the span of the others (a coloop).
-@example(code=_code(3, [3, 5, 1, 6, 2, 4, 7]), r=None)
-@example(code=_code(2, [3, 1, 2, 1]), r=1)
-@example(code=_code(2, [1, 0, 2, 3]), r=2)
-@example(code=_code(3, [1, 2, 3, 4]), r=None)
-def test_circuit_sweep_lists_each_circuit_once(code, r):
-    """The coloops are the columns whose deletion drops the rank; every
-    target's list is its brute-force minimal recovery sets avoiding it,
-    up to the cap; and the sweep enumerates each circuit through the
-    targets exactly once."""
+@example(case=(_code(3, [3, 5, 1, 6, 2, 4, 7]), [([1, 3, 5, 7], 2), ([3, 2, 6], None)]))
+@example(case=(_code(2, [3, 1, 2, 1]), [([2, 4], 1), ([1, 2, 3, 4], 2)]))
+@example(case=(_code(2, [1, 0, 2, 3]), [([4, 1], 2), ([3], 1), ([1, 3, 4], None)]))
+@example(case=(_code(3, [1, 2, 3, 4]), [([1, 2, 3, 4], None), ([4, 2], 1)]))
+def test_circuit_store_lists_each_circuit_once(case):
+    """The coloops are the columns whose deletion drops the rank. Whatever
+    the order of the requests and their caps, each requested column's
+    list is its brute-force minimal recovery sets avoiding it, up to the
+    cap; a request searches each new column once, after each searched
+    one again if the size grows; and the store lists each circuit it
+    found once under each of its columns."""
+    code, requests = case
     sums = subset_sum_table(code)
     words = code.column_words
     coloops = code.pivot_basis.coloops
@@ -302,21 +322,23 @@ def test_circuit_sweep_lists_each_circuit_once(code, r):
         rows = tuple(w & ~(1 << (j - 1)) for w in code.generator.row_words)
         dropped = rank(BitMatrix(code.n, rows)) < code.k
         assert bool(coloops >> (j - 1) & 1) == dropped, j
-    readings = [[j for j, w in enumerate(words, 1) if w]]
-    colmap = code.identity_column_map()
-    if colmap is not None:
-        readings.append(list(colmap.values()))
-    for columns in readings:
+    searched: list[int] = []
+    size = 0
+    for columns, cap in requests:
         calls: list = []
         with patch.object(recovery, "minimal_set_masks", counting_searches(calls)):
-            found = recovery.circuit_sweep(code, columns, r)
-        circuits = set()
+            found = recovery.circuit_sets(code, columns, cap)
+        # One search per new column, after one per searched column when
+        # the size grows.
+        new = [c for c in columns if c not in searched]
+        wanted = code.k if cap is None else min(cap, code.k)
+        assert len(calls) == len(new) + (len(searched) if wanted > size else 0)
+        searched += new
+        size = max(size, wanted)
         for c, masks in zip(columns, found):
             want = brute_minimal_recovery_sets(
-                code, words[c - 1], frozenset((c,)), r, sums
+                code, words[c - 1], frozenset((c,)), cap, sums
             )
             want_masks = sorted(sum(1 << (j - 1) for j in s) for s in want)
-            assert sorted(masks) == want_masks, (columns, c)
-            circuits.update(m | 1 << (c - 1) for m in want_masks)
-        assert len(calls) == len(columns)
-        assert sum(count for _, count in calls) == len(circuits)
+            assert sorted(masks) == want_masks, (columns, cap, c)
+        assert_circuits_stored_once(code)
