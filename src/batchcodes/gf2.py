@@ -45,11 +45,13 @@ def reverse_bits(word: int, width: int) -> int:
     """Reverse the low `width` bits of `word` (big-endian <-> little-endian)."""
     word = check_int("word", word, least=0, error=DimensionError)
     width = check_int("width", width, error=DimensionError)
-    out = 0
-    for _ in range(width):
-        out = (out << 1) | (word & 1)
-        word >>= 1
-    return out
+    return _reverse_bits(word, width)
+
+
+def _reverse_bits(word: int, width: int) -> int:
+    """`reverse_bits` without its argument checks: `word` an int >= 0,
+    `width` an int >= 1."""
+    return int(f"{word & ((1 << width) - 1):0{width}b}"[::-1], 2)
 
 
 @dataclass(frozen=True)
@@ -348,7 +350,11 @@ class LinearCode:
 
     Column lookups, the pivot basis of the columns, the minimum
     distance, and the systematic column map are computed once and
-    cached; instances are otherwise immutable.
+    cached. The code also holds the store of the circuits of its column
+    matroid (`_circuits`, filled by `recovery.circuit_sets`), which
+    grows with each request for columns or sizes it has not searched
+    and keeps every circuit found for as long as the code lives. The
+    generator and everything derived from it never change.
     """
 
     def __init__(self, generator: BitMatrix):

@@ -243,16 +243,15 @@ class _CircuitStore:
     """The circuits of one code's column matroid found so far, kept on
     the code (`LinearCode._circuits`) and filled by `circuit_sets`.
 
-    Every column in `swept`, a (column, skip) pair in search order, was
-    searched for minimal sets of at most `size` columns avoiding the
-    mask `skip`: the column itself and every column searched before it.
-    `sets[c]` holds the circuits found through column c, less c, as
-    column masks.
+    Each column in `columns`, in search order, was searched for minimal
+    sets of at most `size` columns avoiding itself and every column
+    before it. `sets[c]` holds the circuits found through column c,
+    less c, as column masks.
     """
 
     def __init__(self) -> None:
         self.size = 0
-        self.swept: list[tuple[int, int]] = []
+        self.columns: list[int] = []
         self.sets: dict[int, list[int]] = {}
 
 
@@ -267,28 +266,30 @@ def circuit_sets(
     The code's store enumerates each circuit once, from the first
     searched column it holds, and searches only columns asked for:
     - a larger size than the store's first re-searches the columns
-      already searched, in search order and with the same skip masks,
+      already searched, in search order and avoiding the same columns,
       keeping only the sets above the old size;
     - then each new column is searched at the store's size, avoiding
       itself and every column searched before it.
-    Each circuit found goes, less c', to every column c' in it.
+    Each circuit found goes, less c', to every column c' in it. The
+    store changes only after every search has returned, so a request
+    that a search cuts short (an interrupt, an error) leaves it as it
+    was.
     """
     store = code._circuits
     size = code.k if size is None else min(size, code.k)
-    jobs = [(c, skip, store.size) for c, skip in store.swept if store.size < size]
-    store.size = max(store.size, size)
-    # The last column searched skipped every column searched so far.
-    skip = store.swept[-1][1] if store.swept else 0
-    for c in columns:
-        if not skip >> (c - 1) & 1:
-            skip |= 1 << (c - 1)
-            store.swept.append((c, skip))
-            jobs.append((c, skip, 0))
-    for c, skip, done in jobs:
-        masks, _ = minimal_set_masks(code, code.column_words[c - 1], skip, store.size)
-        for circuit in (m | 1 << (c - 1) for m in masks if m.bit_count() > done):
-            for j in _columns(circuit):
-                store.sets.setdefault(j, []).append(circuit ^ 1 << (j - 1))
+    grown = max(store.size, size)
+    new = [c for c in dict.fromkeys(columns) if c not in store.columns]
+    found, skip = [], 0
+    for c in store.columns + new:
+        skip |= 1 << (c - 1)
+        done = store.size if c in store.columns else 0
+        if done < grown:
+            masks, _ = minimal_set_masks(code, code.column_words[c - 1], skip, grown)
+            found += (m | 1 << (c - 1) for m in masks if m.bit_count() > done)
+    store.size, store.columns = grown, store.columns + new
+    for circuit in found:
+        for j in _columns(circuit):
+            store.sets.setdefault(j, []).append(circuit ^ 1 << (j - 1))
     return [[m for m in store.sets.get(c, ()) if m.bit_count() <= size] for c in columns]
 
 

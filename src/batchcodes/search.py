@@ -42,7 +42,7 @@ from itertools import combinations_with_replacement
 
 from .constructions import _code_from_columns
 from .errors import CapacityError, check_cap, check_int
-from .gf2 import LinearCode
+from .gf2 import LinearCode, _reverse_bits
 from .planner import QueryPlanner
 
 __all__ = ["SearchResult", "min_length", "redundancy_table"]
@@ -191,10 +191,10 @@ def _transposition_tables(k: int) -> list[list[int]]:
 
 
 def _systematic_candidate(k: int, parity_values: tuple[int, ...]) -> LinearCode:
-    # Each value's k bits reversed, as `gf2.reverse_bits` reverses them,
-    # without its argument checks on every candidate.
-    flipped = [int(f"{v:0{k}b}"[::-1], 2) for v in parity_values]
-    return _code_from_columns(k, [1 << i for i in range(k)] + flipped)
+    # Unchecked: k and the parity values come from min_length's loop.
+    return _code_from_columns(
+        k, [1 << i for i in range(k)] + [_reverse_bits(v, k) for v in parity_values]
+    )
 
 
 def _passes(code: LinearCode, t: int, mode: str, r_cap: int | None) -> bool:

@@ -342,3 +342,36 @@ def test_circuit_store_lists_each_circuit_once(case):
             want_masks = sorted(sum(1 << (j - 1) for j in s) for s in want)
             assert sorted(masks) == want_masks, (columns, cap, c)
         assert_circuits_stored_once(code)
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 3, 4, 5])
+def test_interrupted_request_leaves_the_store_as_it_was(fail_at):
+    """A search that raises partway through a request (here the fail_at-th
+    of its 5: columns 1 and 2 again at the larger size, then 3, 4 and 8)
+    leaves the code's store as it was, so the same request with the real
+    search, and every later one, returns the brute-force lists."""
+    code = _code(3, [1, 2, 3, 4, 5, 6, 7, 3])
+    recovery.circuit_sets(code, [1, 2], 1)
+    real = recovery.minimal_set_masks
+    calls: list = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == fail_at:
+            raise RuntimeError("search cut short")
+        return real(*args)
+
+    with patch.object(recovery, "minimal_set_masks", failing):
+        with pytest.raises(RuntimeError, match="search cut short"):
+            recovery.circuit_sets(code, [3, 1, 4, 8], 3)
+    sums = subset_sum_table(code)
+    for columns, cap in [([3, 1, 4, 8], 3), (list(range(1, code.n + 1)), None)]:
+        found = recovery.circuit_sets(code, columns, cap)
+        for c, masks in zip(columns, found):
+            want = brute_minimal_recovery_sets(
+                code, code.column_words[c - 1], frozenset((c,)), cap, sums
+            )
+            assert sorted(masks) == sorted(
+                sum(1 << (j - 1) for j in s) for s in want
+            ), (fail_at, cap, c)
+    assert_circuits_stored_once(code)
