@@ -351,10 +351,11 @@ class LinearCode:
     Column lookups, the pivot basis of the columns, the minimum
     distance, and the systematic column map are computed once and
     cached. The code also holds the store of the circuits of its column
-    matroid (`_circuits`, filled by `recovery.circuit_sets`), which
-    grows with each request for columns or sizes it has not searched
-    and keeps every circuit found for as long as the code lives. The
-    generator and everything derived from it never change.
+    matroid found so far, `_circuits = (size, searched, circuits)`: one
+    value, which the recovery layer's `circuit_sets` replaces whole when
+    a request needs columns or a size it does not cover, and which lives
+    as long as the code. The generator and everything derived from it
+    never change.
     """
 
     def __init__(self, generator: BitMatrix):
@@ -365,6 +366,7 @@ class LinearCode:
             )
         self._generator = generator
         self._distance: int | None = None
+        self._circuits: tuple[int, int, tuple[int, ...]] = (0, 0, ())
 
     @classmethod
     def from_rows(cls, rows: Sequence[Iterable[int]]) -> "LinearCode":
@@ -399,15 +401,6 @@ class LinearCode:
         """The columns' pivot basis, which every recovery-set search of
         this code runs on (see `recovery.minimal_set_masks`)."""
         return PivotBasis.from_columns(self.column_words)
-
-    @cached_property
-    def _circuits(self):
-        """The circuits of the column matroid found so far, which the
-        repair profiles and the planner's packings read (see
-        `recovery.circuit_sets`)."""
-        from .recovery import _CircuitStore  # recovery imports this module
-
-        return _CircuitStore()
 
     def column(self, j: int) -> BitVector:
         return self._generator.column(j)

@@ -531,9 +531,10 @@ def plan_is_valid(
     Recomputes every recovery-set sum straight from the generator
     columns; shares no logic with the planner search. A position or
     column that is not an integer (`operator.index`) makes the plan
-    invalid.
+    invalid; the cap `r` must be None or an integer >= 1 (ValueError).
     """
     q = query if isinstance(query, Query) else Query(tuple(query))
+    r = check_cap("r", r)
     try:
         positions = [operator.index(pos) for pos, _ in plan.assignments]
         members = [

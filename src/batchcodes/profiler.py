@@ -14,11 +14,13 @@ equals pir_t, as it does for every named family, that is one sweep.
 A minimal recovery set of column j that avoids j is, together with j,
 a circuit of the generator's column matroid. The repair profiles read
 these circuits from the code's circuit store (`recovery.circuit_sets`),
-which enumerates each circuit once, however many target columns it
-holds, and which the packings below share. The store gives every
-symbol's smallest set size too: an uncapped request holds it outright,
-and a capped one is deepened until every symbol in some circuit has a
-set, which happens by size k.
+one tuple of circuit masks per code, which enumerates each circuit
+once, however many target columns it holds, and which the packings
+below share. The store gives every symbol's smallest set size too: an
+uncapped request holds it outright, and a capped one is deepened until
+every symbol in some circuit has a set, which happens by size k. Each
+deeper size starts the store afresh and searches the live columns
+again at that size.
 
 The PIR packings and the information-symbol entries of `profile` are
 read off the query planner that serves its batch sweeps. On a code

@@ -24,12 +24,13 @@ the last-slot lookup; excluding columns only removes completions, so
 the lowest-bit bound stays a necessary condition.
 
 A minimal recovery set of a column's word that avoids that column is,
-with the column, a circuit of the column matroid. Each code keeps one
-store of the circuits found so far (`circuit_sets`), which searches a
-column on its first request, a larger size by re-searching only the
-columns already searched, and enumerates each circuit once, from the
-first searched column in it. The repair profiles and the planner's
-complete unit-vector lists read it.
+with the column, a circuit of the column matroid. Each code keeps the
+circuits found so far as one value, a flat tuple of circuit masks with
+the size and the columns it was searched at, which `circuit_sets`
+replaces whole. A request searches each requested column not yet
+searched, and a larger size starts the store afresh; each circuit is
+enumerated once, from the first searched column in it. The repair
+profiles and the planner's complete unit-vector lists read it.
 
 Sets stay column masks, as the search finds them, until a caller asks
 for `RecoverySet`s: `RecoveryEnumeration.sets` decodes its masks the
@@ -239,22 +240,6 @@ def minimal_set_masks(
     return out, truncated
 
 
-class _CircuitStore:
-    """The circuits of one code's column matroid found so far, kept on
-    the code (`LinearCode._circuits`) and filled by `circuit_sets`.
-
-    Each column in `columns`, in search order, was searched for minimal
-    sets of at most `size` columns avoiding itself and every column
-    before it. `sets[c]` holds the circuits found through column c,
-    less c, as column masks.
-    """
-
-    def __init__(self) -> None:
-        self.size = 0
-        self.columns: list[int] = []
-        self.sets: dict[int, list[int]] = {}
-
-
 def circuit_sets(
     code: LinearCode, columns: list[int], size: int | None
 ) -> list[list[int]]:
@@ -263,34 +248,35 @@ def circuit_sets(
     most `size` columns (None: k), in no fixed order.
 
     Such a set, together with c, is a circuit of the column matroid.
-    The code's store enumerates each circuit once, from the first
-    searched column it holds, and searches only columns asked for:
-    - a larger size than the store's first re-searches the columns
-      already searched, in search order and avoiding the same columns,
-      keeping only the sets above the old size;
-    - then each new column is searched at the store's size, avoiding
-      itself and every column searched before it.
-    Each circuit found goes, less c', to every column c' in it. The
-    store changes only after every search has returned, so a request
-    that a search cuts short (an interrupt, an error) leaves it as it
-    was.
+    The code's store is one value, `LinearCode._circuits = (size,
+    searched, circuits)`: `circuits` holds, once each and as column
+    masks, every circuit of at most size + 1 columns that meets the
+    column mask `searched`. A request for a larger size starts the
+    store afresh at that size, with nothing searched. Each requested
+    column not yet searched is then searched at the store's size,
+    avoiding itself and every column searched before it, so each
+    circuit is found once, from its first searched column; columns not
+    asked for are never searched. The new store replaces the old one
+    only after every search has returned, so a request that a search
+    cuts short (an interrupt, an error) leaves it as it was.
     """
-    store = code._circuits
     size = code.k if size is None else min(size, code.k)
-    grown = max(store.size, size)
-    new = [c for c in dict.fromkeys(columns) if c not in store.columns]
-    found, skip = [], 0
-    for c in store.columns + new:
-        skip |= 1 << (c - 1)
-        done = store.size if c in store.columns else 0
-        if done < grown:
-            masks, _ = minimal_set_masks(code, code.column_words[c - 1], skip, grown)
-            found += (m | 1 << (c - 1) for m in masks if m.bit_count() > done)
-    store.size, store.columns = grown, store.columns + new
-    for circuit in found:
-        for j in _columns(circuit):
-            store.sets.setdefault(j, []).append(circuit ^ 1 << (j - 1))
-    return [[m for m in store.sets.get(c, ()) if m.bit_count() <= size] for c in columns]
+    stored, searched, circuits = code._circuits
+    if size > stored:
+        stored, searched, circuits = size, 0, ()
+    found = []
+    for c in dict.fromkeys(columns):
+        bit = 1 << (c - 1)
+        if not searched & bit:
+            searched |= bit
+            masks, _ = minimal_set_masks(code, code.column_words[c - 1], searched, stored)
+            found += (m | bit for m in masks)
+    circuits += tuple(found)
+    code._circuits = stored, searched, circuits
+    return [
+        [m ^ 1 << (c - 1) for m in circuits if m >> (c - 1) & 1 and m.bit_count() <= size + 1]
+        for c in columns
+    ]
 
 
 def max_disjoint_packing(masks: Sequence[int]) -> int:

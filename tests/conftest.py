@@ -1,16 +1,16 @@
-"""Shared fixtures: a wall-clock limit on every test, the named-code
-corpus, a random code generator, hypothesis strategies for small
-generator matrices, a counting stand-in for the recovery-set search,
-and a check of a code's circuit store."""
+"""Shared fixtures: a wall-clock limit on every test, the hypothesis
+settings profiles, the named-code corpus, a random code generator,
+hypothesis strategies for small generator matrices, a counting
+stand-in for the recovery-set search, and a check of a code's circuit
+store."""
 
 from __future__ import annotations
 
 import random
 import signal
-from collections import Counter
 
 import pytest
-from hypothesis import assume
+from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 from batchcodes import recovery
@@ -53,6 +53,17 @@ def wall_clock_limit():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# Every property test runs the same derandomized examples on every run,
+# with no deadline and no example database; its own `@settings` sets
+# only `max_examples`. `--hypothesis-profile=fresh-seed` with
+# `--hypothesis-seed=N` draws other examples, reproducibly from N.
+settings.register_profile("derandomized", deadline=None, derandomize=True, database=None)
+settings.register_profile(
+    "fresh-seed", settings.get_profile("derandomized"), derandomize=False
+)
+settings.load_profile("derandomized")
 
 
 def build_corpus() -> list[tuple[str, LinearCode]]:
@@ -174,10 +185,18 @@ def counting_searches(calls: list):
 
 
 def assert_circuits_stored_once(code: LinearCode) -> None:
-    """The code's circuit store lists each circuit it holds once under
-    each of its columns, less that column, and never twice."""
-    seen: Counter = Counter()
-    for c, masks in code._circuits.sets.items():
-        seen.update(m | 1 << (c - 1) for m in masks)
-    for circuit, count in seen.items():
-        assert count == circuit.bit_count(), bin(circuit)
+    """The code's circuit store, `(size, searched, circuits)`, holds no
+    circuit twice, and each is a circuit (its columns sum to zero and
+    have rank one less than their number) of at most size + 1 columns
+    that meets the searched columns."""
+    size, searched, circuits = code._circuits
+    assert len(set(circuits)) == len(circuits)
+    words = code.column_words
+    for circuit in circuits:
+        members = [words[j] for j in range(code.n) if circuit >> j & 1]
+        total = 0
+        for w in members:
+            total ^= w
+        assert total == 0, bin(circuit)
+        assert rank(column_matrix(code.k, members)) == len(members) - 1, bin(circuit)
+        assert circuit & searched and circuit.bit_count() <= size + 1, bin(circuit)

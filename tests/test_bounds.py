@@ -281,7 +281,7 @@ class TestEvaluateAll:
             assert {v.name for v in verdicts} == names, name
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(code=small_codes())
 def test_all_symbol_locality_feeds_the_lrc_rows(code):
     """A full-rank code has a nonzero column, so its locality is None or

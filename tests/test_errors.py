@@ -26,6 +26,7 @@ from batchcodes import (
     identity,
     min_length,
     pir_t,
+    plan_is_valid,
     reverse_bits,
     simplex,
 )
@@ -34,6 +35,7 @@ from batchcodes import (
 CODE = simplex(2)
 MATRIX = BitMatrix(2, (0b01, 0b11))
 E1 = BitVector.unit(2, 1)
+PLAN = QueryPlanner(CODE).serve([1])
 
 # (name in the message, call, a valid value, least, most, class)
 ENTRY_POINTS = [
@@ -92,6 +94,7 @@ ENTRY_POINTS = [
     ("k", lambda v: min_length(v, 1), 2, 1, None, ValueError),
     ("word", lambda v: reverse_bits(v, 3), 5, 0, None, DimensionError),
     ("width", lambda v: reverse_bits(5, v), 3, 1, None, DimensionError),
+    ("r", lambda v: plan_is_valid(CODE, [1], PLAN, v), 2, 1, None, ValueError),
 ]
 
 

@@ -249,7 +249,7 @@ class TestServe:
                 QueryPlanner(subcube(2, 1)).servable_all(bad)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(
     code=small_codes(),
     r=st.sampled_from([None, 1, 2]),
@@ -291,7 +291,7 @@ def test_unservable_query_matches_reference_plan():
     )
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(
     code=st.one_of(small_codes(), symmetric_codes()),
     r=st.sampled_from([None, 1, 2]),
@@ -422,7 +422,7 @@ class TestSymbolClasses:
         assert len(served) == len({q.indices for q in served})
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(
     code=st.one_of(small_codes(), symmetric_codes()),
     r=st.sampled_from([None, 1, 2]),
@@ -452,7 +452,7 @@ def lexicographic_sweep(planner: QueryPlanner, t: int):
     return True, None
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(code=small_codes(k_max=7, n_max=15), r=st.sampled_from([None, 2, 3]))
 def test_sweep_matches_lexicographic_sweep(code, r):
     """On codes too large for the brute-force oracles, the size-ordered
@@ -525,7 +525,7 @@ class TestPackings:
         assert calls == [(None, count) for count in lengths]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(
     code=st.one_of(systematic_codes(k_max=5, n_max=11), small_codes()),
     r=st.sampled_from([None, 1, 2, 3]),

@@ -321,7 +321,7 @@ def test_batch_sweep_descends_below_pir():
     assert not ok and witness.indices == (2, 3)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(
     code=st.one_of(small_codes(), symmetric_codes()),
     r=st.sampled_from([None, 1, 2]),
@@ -347,7 +347,7 @@ def _as_tuple(lp):
     return lp.cap, lp.locality, lp.availability, symbols
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(code=small_codes(), r=st.sampled_from([None, 1, 2, 3]))
 # Zero and duplicate columns; k=1; non-systematic; and column 1 outside
 # the span of the others, so that the locality is None.
@@ -426,7 +426,7 @@ def test_deepening_stops_at_k(monkeypatch):
     assert max(sizes) == 3
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(
     code=st.one_of(systematic_codes(), small_codes()),
     r=st.sampled_from([None, 1, 2, 3]),

@@ -159,7 +159,7 @@ def enumeration_calls(draw):
     return code, word, excluded, max_size, max_count
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(call=enumeration_calls())
 # Columns equal to the last residual lie both before and after the path.
 @example(call=(_code(2, [1, 2, 1, 3, 2]), 3, frozenset(), None, None))
@@ -216,7 +216,7 @@ def warm_code_sessions(draw):
     return code, calls, r_cap, tuple(Query(tuple(q)) for q in queries)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(session=warm_code_sessions())
 def test_warm_code_matches_oracle(session):
     """Every call on one code instance runs on its one cached pivot
@@ -244,7 +244,7 @@ def test_warm_code_matches_oracle(session):
     assert warm == fresh
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(data=st.data(), n=st.integers(1, 10))
 def test_packing_matches_oracle(data, n):
     """The exact packing number. Masks are nonempty, as recovery sets
@@ -299,7 +299,7 @@ def store_requests(draw):
     return code, [(draw(columns), cap) for cap in caps]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(case=store_requests())
 # Identity columns not at the front; a duplicated identity column; a
 # zero column; column 4 outside the span of the others (a coloop).
@@ -311,9 +311,10 @@ def test_circuit_store_lists_each_circuit_once(case):
     """The coloops are the columns whose deletion drops the rank. Whatever
     the order of the requests and their caps, each requested column's
     list is its brute-force minimal recovery sets avoiding it, up to the
-    cap; a request searches each new column once, after each searched
-    one again if the size grows; and the store lists each circuit it
-    found once under each of its columns."""
+    cap; a request searches each requested column not yet searched, or
+    each requested column when the size grows; and the store holds,
+    once each, exactly the brute-force circuits of at most size + 1
+    columns that meet the searched columns."""
     code, requests = case
     sums = subset_sum_table(code)
     words = code.column_words
@@ -328,13 +329,12 @@ def test_circuit_store_lists_each_circuit_once(case):
         calls: list = []
         with patch.object(recovery, "minimal_set_masks", counting_searches(calls)):
             found = recovery.circuit_sets(code, columns, cap)
-        # One search per new column, after one per searched column when
-        # the size grows.
-        new = [c for c in columns if c not in searched]
         wanted = code.k if cap is None else min(cap, code.k)
-        assert len(calls) == len(new) + (len(searched) if wanted > size else 0)
+        if wanted > size:
+            searched, size = [], wanted
+        new = [c for c in columns if c not in searched]
+        assert len(calls) == len(new)
         searched += new
-        size = max(size, wanted)
         for c, masks in zip(columns, found):
             want = brute_minimal_recovery_sets(
                 code, words[c - 1], frozenset((c,)), cap, sums
@@ -342,16 +342,27 @@ def test_circuit_store_lists_each_circuit_once(case):
             want_masks = sorted(sum(1 << (j - 1) for j in s) for s in want)
             assert sorted(masks) == want_masks, (columns, cap, c)
         assert_circuits_stored_once(code)
+        circuits = {
+            sum(1 << (j - 1) for j in s) | 1 << (c - 1)
+            for c in searched
+            for s in brute_minimal_recovery_sets(
+                code, words[c - 1], frozenset((c,)), size, sums
+            )
+        }
+        mask = sum(1 << (c - 1) for c in searched)
+        assert code._circuits[:2] == (size, mask)
+        assert sorted(code._circuits[2]) == sorted(circuits), (columns, cap)
 
 
-@pytest.mark.parametrize("fail_at", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("fail_at", [1, 2, 3, 4])
 def test_interrupted_request_leaves_the_store_as_it_was(fail_at):
     """A search that raises partway through a request (here the fail_at-th
-    of its 5: columns 1 and 2 again at the larger size, then 3, 4 and 8)
-    leaves the code's store as it was, so the same request with the real
-    search, and every later one, returns the brute-force lists."""
+    of its 4: the larger size starts the store afresh, so columns 3, 1,
+    4 and 8) leaves the code's store as it was, so the same request with
+    the real search, and every later one, returns the brute-force lists."""
     code = _code(3, [1, 2, 3, 4, 5, 6, 7, 3])
     recovery.circuit_sets(code, [1, 2], 1)
+    before = code._circuits
     real = recovery.minimal_set_masks
     calls: list = []
 
@@ -364,6 +375,7 @@ def test_interrupted_request_leaves_the_store_as_it_was(fail_at):
     with patch.object(recovery, "minimal_set_masks", failing):
         with pytest.raises(RuntimeError, match="search cut short"):
             recovery.circuit_sets(code, [3, 1, 4, 8], 3)
+    assert code._circuits == before
     sums = subset_sum_table(code)
     for columns, cap in [([3, 1, 4, 8], 3), (list(range(1, code.n + 1)), None)]:
         found = recovery.circuit_sets(code, columns, cap)
