@@ -351,11 +351,11 @@ class LinearCode:
     Column lookups, the pivot basis of the columns, the minimum
     distance, and the systematic column map are computed once and
     cached. The code also holds the store of the circuits of its column
-    matroid found so far, `_circuits = (size, searched, circuits)`: one
-    value, which the recovery layer's `circuit_sets` replaces whole when
-    a request needs columns or a size it does not cover, and which lives
-    as long as the code. The generator and everything derived from it
-    never change.
+    matroid, `_circuits = (size, circuits)`: every circuit of 2 to
+    size + 1 columns, one value, which the recovery layer's
+    `circuit_sets` replaces whole when a request needs a larger size,
+    and which lives as long as the code. The generator and everything
+    derived from it never change.
     """
 
     def __init__(self, generator: BitMatrix):
@@ -366,7 +366,7 @@ class LinearCode:
             )
         self._generator = generator
         self._distance: int | None = None
-        self._circuits: tuple[int, int, tuple[int, ...]] = (0, 0, ())
+        self._circuits: tuple[int, tuple[int, ...]] = (0, ())
 
     @classmethod
     def from_rows(cls, rows: Sequence[Iterable[int]]) -> "LinearCode":

@@ -172,14 +172,15 @@ class QueryPlanner:
 
         When the code has every unit column, the complete lists of all
         symbols are read at cap r from the code's circuit store over
-        the identity columns (`recovery.circuit_sets`), which
-        enumerates a circuit through j identity columns once rather
-        than j times, and shares it with the repair profiles and every
-        other planner of the code. A minimal set of e_i either is the
-        identity column sigma(i) alone or avoids it, so each list is
-        e_i's sets from the store plus {sigma(i)}, put in lexicographic
-        order: the list `candidates` returns. Without every unit
-        column, each symbol is enumerated on its own.
+        the identity columns (`recovery.circuit_sets`). The store holds
+        every circuit of the code up to its size, each found once
+        however many identity columns it holds, and is shared with the
+        repair profiles and every other planner of the code; it
+        searches only when r exceeds its size. A minimal set of e_i
+        either is the identity column sigma(i) alone or avoids it, so
+        each list is e_i's sets from the store plus {sigma(i)}, put in
+        lexicographic order: the list `candidates` returns. Without
+        every unit column, each symbol is enumerated on its own.
         """
         k = self._code.k
         colmap = self._code.identity_column_map()

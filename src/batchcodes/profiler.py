@@ -14,13 +14,13 @@ equals pir_t, as it does for every named family, that is one sweep.
 A minimal recovery set of column j that avoids j is, together with j,
 a circuit of the generator's column matroid. The repair profiles read
 these circuits from the code's circuit store (`recovery.circuit_sets`),
-one tuple of circuit masks per code, which enumerates each circuit
-once, however many target columns it holds, and which the packings
-below share. The store gives every symbol's smallest set size too: an
-uncapped request holds it outright, and a capped one is deepened until
-every symbol in some circuit has a set, which happens by size k. Each
-deeper size starts the store afresh and searches the live columns
-again at that size.
+one tuple per code of every circuit up to the store's size, which
+enumerates each circuit once, however many target columns it holds,
+and which the packings below share. The store gives every symbol's
+smallest set size too: an uncapped request holds it outright, and a
+capped one is deepened until every symbol in some circuit has a set,
+which happens by size k. Each deeper size fills the store afresh,
+searching every live column again at that size.
 
 The PIR packings and the information-symbol entries of `profile` are
 read off the query planner that serves its batch sweeps. On a code
@@ -269,8 +269,13 @@ def corollary_check(
 def profile(code: LinearCode, r_cap: int | None = None) -> CodeProfile:
     """Everything at once: distance, batch/PIR parameters at r_cap,
     all-symbol profile at the code's locality, info-symbol profile at
-    r_cap when systematic."""
+    r_cap when systematic.
+
+    The distance comes first, so a code past its guard (`min_distance`'s
+    max_k) raises CapacityError before any recovery set is searched.
+    """
     r_cap = check_cap("r_cap", r_cap)
+    d = code.min_distance()
     planner = QueryPlanner(code, r_cap)
     pir = _pir(planner)
     batch = _batch(planner)
@@ -278,7 +283,7 @@ def profile(code: LinearCode, r_cap: int | None = None) -> CodeProfile:
     return CodeProfile(
         n=code.n,
         k=code.k,
-        d=code.min_distance(),
+        d=d,
         rate=code.rate,
         systematic=code.is_systematic,
         r_cap=r_cap,

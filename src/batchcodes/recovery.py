@@ -24,13 +24,13 @@ the last-slot lookup; excluding columns only removes completions, so
 the lowest-bit bound stays a necessary condition.
 
 A minimal recovery set of a column's word that avoids that column is,
-with the column, a circuit of the column matroid. Each code keeps the
-circuits found so far as one value, a flat tuple of circuit masks with
-the size and the columns it was searched at, which `circuit_sets`
-replaces whole. A request searches each requested column not yet
-searched, and a larger size starts the store afresh; each circuit is
-enumerated once, from the first searched column in it. The repair
-profiles and the planner's complete unit-vector lists read it.
+with the column, a circuit of the column matroid. Each code keeps one
+value, its size and a flat tuple of every circuit of 2 to size + 1
+columns, which `circuit_sets` replaces whole: only a request for a
+larger size searches, filling the tuple in one sweep of the columns
+in index order, and each circuit is enumerated once, from its lowest
+column. The repair profiles and the planner's complete unit-vector
+lists read it.
 
 Sets stay column masks, as the search finds them, until a caller asks
 for `RecoverySet`s: `RecoveryEnumeration.sets` decodes its masks the
@@ -243,36 +243,35 @@ def minimal_set_masks(
 def circuit_sets(
     code: LinearCode, columns: list[int], size: int | None
 ) -> list[list[int]]:
-    """For each column c of `columns`, which must be nonzero, the masks
-    of the minimal recovery sets of c's word that avoid c and have at
-    most `size` columns (None: k), in no fixed order.
+    """For each column c of `columns`, the masks of the minimal recovery
+    sets of c's word that avoid c and have at most `size` columns
+    (None: k), in no fixed order; none for a zero column or a coloop.
 
     Such a set, together with c, is a circuit of the column matroid.
     The code's store is one value, `LinearCode._circuits = (size,
-    searched, circuits)`: `circuits` holds, once each and as column
-    masks, every circuit of at most size + 1 columns that meets the
-    column mask `searched`. A request for a larger size starts the
-    store afresh at that size, with nothing searched. Each requested
-    column not yet searched is then searched at the store's size,
+    circuits)`: `circuits` holds, once each and as column masks, every
+    circuit of 2 to size + 1 columns, so it depends only on the code
+    and the size. Only a request for a larger size searches: it fills
+    the store at that size in one sweep, searching each column that
+    lies in some circuit (nonzero, not a coloop) once, in index order,
     avoiding itself and every column searched before it, so each
-    circuit is found once, from its first searched column; columns not
-    asked for are never searched. The new store replaces the old one
-    only after every search has returned, so a request that a search
-    cuts short (an interrupt, an error) leaves it as it was.
+    circuit is found once, from its lowest column. The new store
+    replaces the old one only after the last search has returned, so a
+    request that a search cuts short (an interrupt, an error) leaves it
+    as it was. Every other request only filters the tuple.
     """
     size = code.k if size is None else min(size, code.k)
-    stored, searched, circuits = code._circuits
+    stored, circuits = code._circuits
     if size > stored:
-        stored, searched, circuits = size, 0, ()
-    found = []
-    for c in dict.fromkeys(columns):
-        bit = 1 << (c - 1)
-        if not searched & bit:
-            searched |= bit
-            masks, _ = minimal_set_masks(code, code.column_words[c - 1], searched, stored)
-            found += (m | bit for m in masks)
-    circuits += tuple(found)
-    code._circuits = stored, searched, circuits
+        circuits, skip = (), 0
+        coloops = code.pivot_basis.coloops
+        for i, word in enumerate(code.column_words):
+            bit = 1 << i
+            if word and not coloops & bit:
+                skip |= bit
+                masks, _ = minimal_set_masks(code, word, skip, size)
+                circuits += tuple(m | bit for m in masks)
+        code._circuits = size, circuits
     return [
         [m ^ 1 << (c - 1) for m in circuits if m >> (c - 1) & 1 and m.bit_count() <= size + 1]
         for c in columns

@@ -1,7 +1,7 @@
 """Shared fixtures: a wall-clock limit on every test, the hypothesis
 settings profiles, the named-code corpus, a random code generator,
 hypothesis strategies for small generator matrices, a counting
-stand-in for the recovery-set search, and a check of a code's circuit
+stand-in for the recovery-set search, and checks of a code's circuit
 store."""
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from batchcodes import (
     subcube,
     triplicated_parity,
 )
+from oracles import brute_circuits
 
 
 # Seconds any one test may run; the slowest takes about 1.5 s. A hang
@@ -173,30 +174,44 @@ def systematic_codes(draw, k_max: int = 4, n_max: int = 10):
 
 def counting_searches(calls: list):
     """Stand-in for `recovery.minimal_set_masks` that records, per call,
-    the size cap it was given and the number of sets it found."""
+    the skip mask and size cap it was given and the number of sets it
+    found."""
     real = recovery.minimal_set_masks
 
     def counting(code, target, skip, max_size, max_count=None):
         masks, truncated = real(code, target, skip, max_size, max_count)
-        calls.append((max_size, len(masks)))
+        calls.append((skip, max_size, len(masks)))
         return masks, truncated
 
     return counting
 
 
+def live_columns(code: LinearCode) -> list[int]:
+    """The 1-indexed columns that lie in some circuit: nonzero and not
+    coloops."""
+    coloops = code.pivot_basis.coloops
+    return [
+        j for j, w in enumerate(code.column_words, 1)
+        if w and not coloops >> (j - 1) & 1
+    ]
+
+
+def assert_one_fill(calls: list, code: LinearCode, size: int) -> None:
+    """The searches `counting_searches` recorded are one fill of the
+    code's circuit store at `size`: one per live column, in index
+    order, each avoiding that column and the live columns before it,
+    and together finding every stored circuit."""
+    skips, skip = [], 0
+    for j in live_columns(code):
+        skip |= 1 << (j - 1)
+        skips.append(skip)
+    assert [call[:2] for call in calls] == [(s, size) for s in skips]
+    assert sum(found for _, _, found in calls) == len(code._circuits[1])
+
+
 def assert_circuits_stored_once(code: LinearCode) -> None:
-    """The code's circuit store, `(size, searched, circuits)`, holds no
-    circuit twice, and each is a circuit (its columns sum to zero and
-    have rank one less than their number) of at most size + 1 columns
-    that meets the searched columns."""
-    size, searched, circuits = code._circuits
+    """The code's circuit store, `(size, circuits)`, holds once each
+    exactly the brute-force circuits of 2 to size + 1 columns."""
+    size, circuits = code._circuits
     assert len(set(circuits)) == len(circuits)
-    words = code.column_words
-    for circuit in circuits:
-        members = [words[j] for j in range(code.n) if circuit >> j & 1]
-        total = 0
-        for w in members:
-            total ^= w
-        assert total == 0, bin(circuit)
-        assert rank(column_matrix(code.k, members)) == len(members) - 1, bin(circuit)
-        assert circuit & searched and circuit.bit_count() <= size + 1, bin(circuit)
+    assert sorted(circuits) == sorted(brute_circuits(code, size + 1))

@@ -8,7 +8,9 @@ recursion, and the distance oracle evaluates every dot product directly.
 the planner's documented search order, without any of its pruning, so
 that plans can be compared exactly. `reference_lrc_profile` rebuilds the
 profiler's locality and availability from the brute-force minimal sets
-and packing alone. `reference_servable_all` sweeps every query, with no
+and packing alone. `brute_circuits` finds the circuits of the column
+matroid as the minimal zero-sum column sets of the subset-sum table.
+`reference_servable_all` sweeps every query, with no
 symmetry reduction. `reference_min_length` is the optimal-length
 sweep with no distance filter and no skipped candidates.
 """
@@ -84,6 +86,25 @@ def brute_minimal_recovery_sets(
         minimal = [m for m in minimal if m.bit_count() <= max_size]
     tuples = sorted(_mask_to_columns(m) for m in minimal)
     return tuples
+
+
+def brute_circuits(
+    code: LinearCode, max_size: int, sums: list[int] | None = None
+) -> list[int]:
+    """Column masks of the circuits of the column matroid, the minimal
+    nonempty column sets summing to zero, that have 2 to max_size
+    columns."""
+    if sums is None:
+        sums = subset_sum_table(code)
+    dependent = sorted(
+        (m for m in range(1, 1 << code.n) if not sums[m] and m.bit_count() <= max_size),
+        key=lambda m: m.bit_count(),
+    )
+    circuits: list[int] = []
+    for m in dependent:
+        if not any(c & m == c for c in circuits):
+            circuits.append(m)
+    return [c for c in circuits if c.bit_count() >= 2]
 
 
 def brute_plan_exists(

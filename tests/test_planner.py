@@ -35,6 +35,7 @@ from batchcodes import (
 )
 from conftest import (
     assert_circuits_stored_once,
+    assert_one_fill,
     column_matrix,
     counting_searches,
     random_systematic,
@@ -499,19 +500,19 @@ class TestPackings:
 
     def test_enumerates_each_circuit_once(self, monkeypatch):
         # The four lists of simplex(4) hold 91 sets each besides the
-        # identity column, 364 in all, but only 245 circuits pass
-        # through an identity column: the search of e_i's column skips
-        # the identity columns before it. A second planner of the same
-        # code reads the store and searches nothing.
+        # identity column. They come from one fill of the store at
+        # size 4 (= k): one search per column, each avoiding the
+        # columns before it, so each circuit is found once. A second
+        # planner of the same code reads the store and searches nothing.
         calls: list = []
         monkeypatch.setattr(recovery, "minimal_set_masks", counting_searches(calls))
         code = simplex(4)
         planner = QueryPlanner(code)
         assert planner.packings() == (8, 8, 8, 8)
         assert [len(planner.candidates(i)) for i in range(1, 5)] == [92] * 4
-        assert calls == [(4, 91), (4, 68), (4, 50), (4, 36)]
+        assert_one_fill(calls, code, 4)
         assert QueryPlanner(code, 3).packings() == (8, 8, 8, 8)
-        assert len(calls) == 4
+        assert len(calls) == code.n
         assert_circuits_stored_once(code)
 
     def test_without_every_unit_column_enumerates_each_symbol(self, monkeypatch):
@@ -522,7 +523,7 @@ class TestPackings:
         assert planner.packings() == (3,) * 5
         lengths = [len(planner.candidates(i)) for i in range(1, 6)]
         assert lengths == [3, 3, 3, 3, 243]
-        assert calls == [(None, count) for count in lengths]
+        assert calls == [(0, None, count) for count in lengths]
 
 
 @settings(max_examples=150)

@@ -13,6 +13,7 @@ import batchcodes.planner as planner_module
 import batchcodes.profiler as profiler_module
 from batchcodes import (
     BitMatrix,
+    CapacityError,
     LinearCode,
     NotSystematicError,
     Query,
@@ -35,8 +36,10 @@ from batchcodes import (
 from batchcodes.gf2 import PivotBasis
 from conftest import (
     assert_circuits_stored_once,
+    assert_one_fill,
     column_matrix,
     counting_searches,
+    live_columns,
     random_systematic,
     small_codes,
     symmetric_codes,
@@ -255,6 +258,20 @@ class TestCorollaryCheck:
                 corollary_check(subcube(2, 1), bad)
 
 
+def test_distance_guard_fires_before_any_search(monkeypatch):
+    """`profile` computes the distance first, so a code past the
+    `min_distance` guard raises CapacityError before any recovery-set
+    search. The packings of triplicated_parity(25), which has no unit
+    column, ran for minutes when they came first."""
+
+    def no_search(*args):
+        raise AssertionError("a recovery-set search ran before the distance guard")
+
+    monkeypatch.setattr(recovery, "minimal_set_masks", no_search)
+    with pytest.raises(CapacityError, match="max_k = 24"):
+        profile(triplicated_parity(25))
+
+
 def test_profile_assembly():
     prof = profile(simplex(3), r_cap=2)
     assert (prof.n, prof.k, prof.d) == (7, 3, 4)
@@ -391,22 +408,19 @@ def test_profiles_match_reference(code, r):
     ids=["coloop", "simplex3+coloop", "simplex3"],
 )
 def test_unbounded_cap_sweeps_once(code, monkeypatch):
-    """An unbounded cap searches each target once at size k, with no
+    """An unbounded cap fills the store once at size k, with no
     deepening first, and asking again searches nothing."""
     calls: list = []
     monkeypatch.setattr(recovery, "minimal_set_masks", counting_searches(calls))
     if code.pivot_basis.coloops:
         assert lrc_profile(code).cap is None
-        assert 0 < len(calls) <= code.n
-        assert {size for size, _ in calls} == {code.k}
-        searched = len(calls)
+        assert_one_fill(calls, code, code.k)
         lrc_profile(code)
-        assert len(calls) == searched
+        assert len(calls) == len(live_columns(code))
     calls.clear()
     code = LinearCode(code.generator)  # a fresh store
     assert info_lrc_profile(code, include_self=False).cap is None
-    assert 0 < len(calls) <= code.k
-    assert {size for size, _ in calls} == {code.k}
+    assert_one_fill(calls, code, code.k)
 
 
 def test_deepening_stops_at_k(monkeypatch):
@@ -433,8 +447,8 @@ def test_deepening_stops_at_k(monkeypatch):
 )
 def test_profile_records_each_circuit_once(code, r):
     """The packings, the deepening repair profile and the strict info
-    profile of one `profile` share the code's circuit store, which lists
-    each circuit once under each of its columns."""
+    profile of one `profile` share the code's circuit store, which holds
+    once each exactly the circuits of 2 to size + 1 columns."""
     profile(code, r)
     if code.is_systematic:
         info_lrc_profile(code, r, include_self=False)

@@ -26,8 +26,10 @@ from batchcodes import (
 )
 from conftest import (
     assert_circuits_stored_once,
+    assert_one_fill,
     column_matrix,
     counting_searches,
+    live_columns,
     random_systematic,
     small_codes,
 )
@@ -284,85 +286,21 @@ class TestMaxDisjointPacking:
                 assert max_disjoint_packing(masks) == brute_max_packing(masks), name
 
 
-def _code(k: int, columns: list[int]) -> LinearCode:
-    return LinearCode(column_matrix(k, columns))
-
-
 @st.composite
 def store_requests(draw):
     """A small code and four requests to its circuit store, one per cap
-    in random order, each for a random list of nonzero columns."""
+    in random order. Each names a random list of columns, zero columns
+    and coloops included, and the search (counted from 1; 0 or past the
+    last: none) at which a first try of the request fails."""
     code = draw(small_codes())
-    nonzero = [j for j, w in enumerate(code.column_words, 1) if w]
-    columns = st.lists(st.sampled_from(nonzero), min_size=1, unique=True)
+    columns = st.lists(st.integers(1, code.n), min_size=1, unique=True)
     caps = draw(st.permutations([None, 1, 2, 3]))
-    return code, [(draw(columns), cap) for cap in caps]
+    return code, [(draw(columns), cap, draw(st.integers(0, code.n))) for cap in caps]
 
 
-@settings(max_examples=150)
-@given(case=store_requests())
-# Identity columns not at the front; a duplicated identity column; a
-# zero column; column 4 outside the span of the others (a coloop).
-@example(case=(_code(3, [3, 5, 1, 6, 2, 4, 7]), [([1, 3, 5, 7], 2), ([3, 2, 6], None)]))
-@example(case=(_code(2, [3, 1, 2, 1]), [([2, 4], 1), ([1, 2, 3, 4], 2)]))
-@example(case=(_code(2, [1, 0, 2, 3]), [([4, 1], 2), ([3], 1), ([1, 3, 4], None)]))
-@example(case=(_code(3, [1, 2, 3, 4]), [([1, 2, 3, 4], None), ([4, 2], 1)]))
-def test_circuit_store_lists_each_circuit_once(case):
-    """The coloops are the columns whose deletion drops the rank. Whatever
-    the order of the requests and their caps, each requested column's
-    list is its brute-force minimal recovery sets avoiding it, up to the
-    cap; a request searches each requested column not yet searched, or
-    each requested column when the size grows; and the store holds,
-    once each, exactly the brute-force circuits of at most size + 1
-    columns that meet the searched columns."""
-    code, requests = case
-    sums = subset_sum_table(code)
-    words = code.column_words
-    coloops = code.pivot_basis.coloops
-    for j in range(1, code.n + 1):
-        rows = tuple(w & ~(1 << (j - 1)) for w in code.generator.row_words)
-        dropped = rank(BitMatrix(code.n, rows)) < code.k
-        assert bool(coloops >> (j - 1) & 1) == dropped, j
-    searched: list[int] = []
-    size = 0
-    for columns, cap in requests:
-        calls: list = []
-        with patch.object(recovery, "minimal_set_masks", counting_searches(calls)):
-            found = recovery.circuit_sets(code, columns, cap)
-        wanted = code.k if cap is None else min(cap, code.k)
-        if wanted > size:
-            searched, size = [], wanted
-        new = [c for c in columns if c not in searched]
-        assert len(calls) == len(new)
-        searched += new
-        for c, masks in zip(columns, found):
-            want = brute_minimal_recovery_sets(
-                code, words[c - 1], frozenset((c,)), cap, sums
-            )
-            want_masks = sorted(sum(1 << (j - 1) for j in s) for s in want)
-            assert sorted(masks) == want_masks, (columns, cap, c)
-        assert_circuits_stored_once(code)
-        circuits = {
-            sum(1 << (j - 1) for j in s) | 1 << (c - 1)
-            for c in searched
-            for s in brute_minimal_recovery_sets(
-                code, words[c - 1], frozenset((c,)), size, sums
-            )
-        }
-        mask = sum(1 << (c - 1) for c in searched)
-        assert code._circuits[:2] == (size, mask)
-        assert sorted(code._circuits[2]) == sorted(circuits), (columns, cap)
-
-
-@pytest.mark.parametrize("fail_at", [1, 2, 3, 4])
-def test_interrupted_request_leaves_the_store_as_it_was(fail_at):
-    """A search that raises partway through a request (here the fail_at-th
-    of its 4: the larger size starts the store afresh, so columns 3, 1,
-    4 and 8) leaves the code's store as it was, so the same request with
-    the real search, and every later one, returns the brute-force lists."""
-    code = _code(3, [1, 2, 3, 4, 5, 6, 7, 3])
-    recovery.circuit_sets(code, [1, 2], 1)
-    before = code._circuits
+def failing_searches(fail_at: int):
+    """Stand-in for `recovery.minimal_set_masks` whose fail_at-th call
+    raises."""
     real = recovery.minimal_set_masks
     calls: list = []
 
@@ -372,18 +310,85 @@ def test_interrupted_request_leaves_the_store_as_it_was(fail_at):
             raise RuntimeError("search cut short")
         return real(*args)
 
-    with patch.object(recovery, "minimal_set_masks", failing):
+    return failing
+
+
+def assert_brute_answers(code, columns, cap, found, sums):
+    """Each column's answer is its brute-force minimal recovery sets
+    avoiding it, up to the cap; a zero column has none."""
+    for c, masks in zip(columns, found):
+        word = code.column_words[c - 1]
+        want = brute_minimal_recovery_sets(code, word, frozenset((c,)), cap, sums) if word else []
+        want_masks = sorted(sum(1 << (j - 1) for j in s) for s in want)
+        assert sorted(masks) == want_masks, (columns, cap, c)
+
+
+@settings(max_examples=150)
+@given(case=store_requests())
+# Identity columns not at the front; a duplicated identity column; a
+# zero column; column 4 outside the span of the others (a coloop).
+@example(case=(_code(3, [3, 5, 1, 6, 2, 4, 7]), [([1, 3, 5, 7], 2, 3), ([3, 2, 6], None, 0)]))
+@example(case=(_code(2, [3, 1, 2, 1]), [([2, 4], 1, 0), ([1, 2, 3, 4], 2, 2)]))
+@example(case=(_code(2, [1, 0, 2, 3]), [([4, 1, 2], 2, 1), ([3], 1, 0), ([1, 3, 4, 2], None, 3)]))
+@example(case=(_code(3, [1, 2, 3, 4]), [([1, 2, 3, 4], None, 2), ([4, 2], 1, 0)]))
+def test_circuit_store_lists_each_circuit_once(case):
+    """The coloops are the columns whose deletion drops the rank. Whatever
+    the order of the requests and their caps, each answer is the
+    brute-force one; only a request above the store's size searches, and
+    it fills the store with one search per live column, in index order;
+    a fill cut short leaves the store as it was; and the store then
+    holds, once each, exactly the brute-force circuits of 2 to size + 1
+    columns for the largest size asked, so the same requests in the
+    reverse order leave the same store."""
+    code, requests = case
+    sums = subset_sum_table(code)
+    coloops = code.pivot_basis.coloops
+    for j in range(1, code.n + 1):
+        rows = tuple(w & ~(1 << (j - 1)) for w in code.generator.row_words)
+        dropped = rank(BitMatrix(code.n, rows)) < code.k
+        assert bool(coloops >> (j - 1) & 1) == dropped, j
+    live = len(live_columns(code))
+    size = 0
+    for columns, cap, fail_at in requests:
+        before = code._circuits
+        wanted = code.k if cap is None else min(cap, code.k)
+        if wanted > size and 1 <= fail_at <= live:
+            with patch.object(recovery, "minimal_set_masks", failing_searches(fail_at)):
+                with pytest.raises(RuntimeError, match="search cut short"):
+                    recovery.circuit_sets(code, columns, cap)
+            assert code._circuits == before
+        calls: list = []
+        with patch.object(recovery, "minimal_set_masks", counting_searches(calls)):
+            found = recovery.circuit_sets(code, columns, cap)
+        if wanted > size:
+            size = wanted
+            assert_one_fill(calls, code, size)
+        else:
+            assert calls == [] and code._circuits == before
+        assert code._circuits[0] == size
+        assert_brute_answers(code, columns, cap, found, sums)
+        assert_circuits_stored_once(code)
+    reordered = LinearCode(code.generator)
+    for columns, cap, _ in reversed(requests):
+        recovery.circuit_sets(reordered, columns, cap)
+    assert reordered._circuits == code._circuits
+
+
+@pytest.mark.parametrize("fail_at", range(1, 9))
+def test_interrupted_request_leaves_the_store_as_it_was(fail_at):
+    """A search that raises partway through a fill (here the fail_at-th
+    of its 8: every column of the code lies in some circuit) leaves the
+    code's store as it was, so the same request with the real search,
+    and every later one, returns the brute-force lists."""
+    code = _code(3, [1, 2, 3, 4, 5, 6, 7, 3])
+    recovery.circuit_sets(code, [1, 2], 1)
+    before = code._circuits
+    with patch.object(recovery, "minimal_set_masks", failing_searches(fail_at)):
         with pytest.raises(RuntimeError, match="search cut short"):
             recovery.circuit_sets(code, [3, 1, 4, 8], 3)
     assert code._circuits == before
     sums = subset_sum_table(code)
     for columns, cap in [([3, 1, 4, 8], 3), (list(range(1, code.n + 1)), None)]:
         found = recovery.circuit_sets(code, columns, cap)
-        for c, masks in zip(columns, found):
-            want = brute_minimal_recovery_sets(
-                code, code.column_words[c - 1], frozenset((c,)), cap, sums
-            )
-            assert sorted(masks) == sorted(
-                sum(1 << (j - 1) for j in s) for s in want
-            ), (fail_at, cap, c)
+        assert_brute_answers(code, columns, cap, found, sums)
     assert_circuits_stored_once(code)
