@@ -12,17 +12,17 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
 from .errors import InvalidQueryError, check_cap, check_int
-from .gf2 import BitVector, LinearCode
+from .gf2 import BitVector, LinearCode, _reverse_bits
 # perfbench/tracer.py patches `enumerate_recovery_sets` and
 # `max_disjoint_packing` here by name.
 from .recovery import (
     RecoveryEnumeration,
     RecoverySet,
-    _columns,
     circuit_sets,
     enumerate_recovery_sets,
     max_disjoint_packing,
@@ -190,9 +190,18 @@ class QueryPlanner:
         ]
         if colmap is not None and stale:
             found = circuit_sets(self._code, list(colmap.values()), self._r)
+            # No set of one list contains another. Of two such sets, the
+            # one holding the lowest column in which they differ comes
+            # first in lexicographic order: the other shares every
+            # column below it and, not being a subset, has a larger one
+            # next. Bit reversal makes that column the highest
+            # differing bit, so the order is descending reversed mask.
+            reverse = partial(_reverse_bits, width=self._code.n)
             for sym in stale:
                 masks = sorted(
-                    found[sym - 1] + [1 << (colmap[sym] - 1)], key=_columns
+                    found[sym - 1] + [1 << (colmap[sym] - 1)],
+                    key=reverse,
+                    reverse=True,
                 )
                 lists[sym] = RecoveryEnumeration(
                     BitVector.unit(k, sym), tuple(masks), False
@@ -430,6 +439,16 @@ class QueryPlanner:
         left to place; the failed-state record below is the only other
         cut.
 
+        Two functions, made once per search, walk the tree. `place(gi,
+        used)` starts group gi with the columns in `used` taken;
+        `pick` places the group's copies one at a time, with the
+        group's tables passed as arguments. The last copy walks its
+        open candidates and calls `place` for the next group directly.
+        `place` tests the open count itself before its `pick`, saving a
+        call on every state whose group cannot start. A search that
+        succeeds records its picks on the way out, one list per group,
+        so no node keeps a record of its own.
+
         The open candidates of a group are a bitset `avail`: on entry,
         the candidates touching no used column; after a pick i, what
         was open and misses candidate i (`avail & ~meets[i]`), less the
@@ -447,47 +466,28 @@ class QueryPlanner:
         It is made once per search and holds at most `_MEMO_LIMIT`
         states.
         """
+        order = sorted(groups, key=lambda g: (len(self._lists[g[0]]), g[0]))
         infos = []
-        for sym, cnt in sorted(
-            groups, key=lambda g: (len(self._lists[g[0]]), g[0])
-        ):
+        for sym, cnt in order:
             masks = self._lists[sym].masks
             if len(masks) < cnt:
                 return None
-            infos.append((sym, cnt, masks, *self._conflicts(sym)))
-
-        chosen: dict[int, list[int]] = {}
+            infos.append((cnt, masks, *self._conflicts(sym)))
+        last = len(infos)
+        # picks[gi]: group gi's candidate indices, appended deepest first
+        # as a successful search returns.
+        picks: list[list[int]] = [[] for _ in infos]
         # failed[gi] holds used-column masks known to fail at group gi.
         failed: list[set[int]] = [set() for _ in infos]
         room = _MEMO_LIMIT
 
         def place(gi: int, used: int) -> bool:
             nonlocal room
-            if gi == len(infos):
+            if gi == last:
                 return True
             if used in failed[gi]:
                 return False
-            sym, cnt, masks, full, meets, nibbles = infos[gi]
-            picks: list[int] = []
-
-            def pick(left: int, used_now: int, avail: int) -> bool:
-                if left == 0:
-                    if place(gi + 1, used_now):
-                        chosen[sym] = list(picks)
-                        return True
-                    return False
-                if avail.bit_count() < left:
-                    return False
-                while avail:
-                    low = avail & -avail
-                    i = low.bit_length() - 1
-                    avail ^= low
-                    picks.append(i)
-                    if pick(left - 1, used_now | masks[i], avail & ~meets[i]):
-                        return True
-                    picks.pop()
-                return False
-
+            cnt, masks, full, meets, nibbles = infos[gi]
             clash = 0
             rest = used
             for nib in nibbles:
@@ -495,15 +495,41 @@ class QueryPlanner:
                     break
                 clash |= nib[rest & 15]
                 rest >>= 4
-            if pick(cnt, used, full & ~clash):
+            avail = full & ~clash
+            if avail.bit_count() >= cnt and pick(gi, cnt, used, avail, masks, meets):
                 return True
             if room:
                 failed[gi].add(used)
                 room -= 1
             return False
 
+        def pick(
+            gi: int, left: int, used: int, avail: int, masks: tuple[int, ...], meets: list[int]
+        ) -> bool:
+            if avail.bit_count() < left:
+                return False
+            if left == 1:
+                # The group's last copy: each open candidate goes
+                # straight on to the next group.
+                while avail:
+                    low = avail & -avail
+                    i = low.bit_length() - 1
+                    avail ^= low
+                    if place(gi + 1, used | masks[i]):
+                        picks[gi].append(i)
+                        return True
+                return False
+            while avail:
+                low = avail & -avail
+                i = low.bit_length() - 1
+                avail ^= low
+                if pick(gi, left - 1, used | masks[i], avail & ~meets[i], masks, meets):
+                    picks[gi].append(i)
+                    return True
+            return False
+
         if place(0, 0):
-            return chosen
+            return {sym: chosen[::-1] for (sym, _), chosen in zip(order, picks)}
         return None
 
 

@@ -258,31 +258,43 @@ def circuit_sets(
     circuit is found once, from its lowest column. The new store
     replaces the old one only after the last search has returned, so a
     request that a search cuts short (an interrupt, an error) leaves it
-    as it was. Every other request only filters the tuple.
+    as it was. The store keeps its circuits stably sorted by size, so
+    every other request reads only the circuits of at most size + 1
+    columns, in one pass that deals each of them, less c, to every
+    requested column c it holds.
     """
     size = code.k if size is None else min(size, code.k)
     stored, circuits = code._circuits
     if size > stored:
-        circuits, skip = (), 0
+        found, skip = [], 0
         coloops = code.pivot_basis.coloops
         for i, word in enumerate(code.column_words):
             bit = 1 << i
             if word and not coloops & bit:
                 skip |= bit
                 masks, _ = minimal_set_masks(code, word, skip, size)
-                circuits += tuple(m | bit for m in masks)
+                found += [m | bit for m in masks]
+        circuits = tuple(sorted(found, key=int.bit_count))
         code._circuits = size, circuits
-    return [
-        [m ^ 1 << (c - 1) for m in circuits if m >> (c - 1) & 1 and m.bit_count() <= size + 1]
-        for c in columns
-    ]
+    lists = {1 << (c - 1): [] for c in columns}
+    wanted = sum(lists)
+    for m in circuits:
+        if m.bit_count() > size + 1:
+            break
+        hit = m & wanted
+        while hit:
+            low = hit & -hit
+            lists[low].append(m ^ low)
+            hit ^= low
+    return [lists[1 << (c - 1)] for c in columns]
 
 
 def max_disjoint_packing(masks: Sequence[int]) -> int:
     """Exact maximum number of pairwise-disjoint sets among `masks`
     (column bitmasks), by branch and bound seeded with a greedy packing.
     """
-    items = sorted((m for m in masks if m), key=lambda m: (m.bit_count(), m))
+    # By size, then by mask: a stable sort by size of the sorted masks.
+    items = sorted(sorted(m for m in masks if m), key=int.bit_count)
     universe = 0
     for m in items:
         universe |= m

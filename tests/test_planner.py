@@ -50,6 +50,8 @@ from oracles import (
     subset_sum_table,
 )
 
+GOLDEN = Path(__file__).parent / "golden"
+
 # Column order used in worked examples elsewhere: identity first, then
 # the remaining nonzero vectors ordered as (110), (101), (011), (111).
 EXAMPLE_SIMPLEX3 = LinearCode.from_rows(
@@ -248,6 +250,29 @@ class TestServe:
         for bad in (0, 1.5, 2.0, "2"):
             with pytest.raises(ValueError, match="^t must be an integer >= 1,"):
                 QueryPlanner(subcube(2, 1)).servable_all(bad)
+
+
+def test_warm_plans_match_golden(corpus):
+    """Warm planners (every list complete) return the recorded plans on
+    hard queries: simplex(4) uncapped at t = 7 and 8, and t = 9, which
+    it cannot serve; simplex(5) at r = 2 and t = 15, and quick t = 16
+    ones; and two unservable queries per code of the frozen benchmark
+    data. A change to the plan search that moves a plan fails here."""
+    codes = dict(corpus, **{"simplex(5)": simplex(5)})
+    planners = {}
+    got, want = [], []
+    for entry in json.loads((GOLDEN / "plans.json").read_text()):
+        key = entry["code"], entry["r"]
+        if key not in planners:
+            code = codes[entry["code"]]
+            planners[key] = QueryPlanner(code, entry["r"])
+            for symbol in range(1, code.k + 1):
+                planners[key].candidates(symbol)
+        plan = planners[key].serve(Query.parse(entry["query"]))
+        got.append((key, entry["query"], None if plan is None else str(plan)))
+        want.append((key, entry["query"], entry["plan"]))
+    assert got == want
+    assert None in [plan for *_, plan in want]
 
 
 @settings(max_examples=150)
