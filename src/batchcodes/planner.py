@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
@@ -114,30 +114,86 @@ class ServingPlan:
         return "; ".join(f"T{pos}={rs}" for pos, rs in self.assignments)
 
 
+class _Candidates(RecoveryEnumeration):
+    """One symbol's candidate list, with what the planner derives from
+    it, each built from this record's masks on first read and kept with
+    them. A list enumerated again is a new record, so nothing derived
+    from an older list outlives it.
+    """
+
+    @cached_property
+    def conflicts(self) -> tuple[int, list[int], list[list[int]]]:
+        """Conflict bitsets over the candidates: (full, meets, nibbles).
+
+        Bit i of each bitset stands for candidate i, and `full` holds
+        them all. `meets[i]` holds the candidates sharing a column with
+        candidate i (i included). `nibbles[b][v]` holds the candidates
+        touching a column of 4b+1..4b+4 selected by the 4-bit value v,
+        so the candidates clashing with a used-column mask take one
+        lookup per 4 columns. The tables stop at the highest column a
+        candidate touches: the columns above it clash with none.
+        """
+        masks = self.masks
+        touch = [0] * (4 * ((max(masks, default=0).bit_length() + 3) // 4))
+        for i, mask in enumerate(masks):
+            bit = 1 << i
+            while mask:
+                low = mask & -mask
+                touch[low.bit_length() - 1] |= bit
+                mask ^= low
+        meets = []
+        for mask in masks:
+            hit = 0
+            while mask:
+                low = mask & -mask
+                hit |= touch[low.bit_length() - 1]
+                mask ^= low
+            meets.append(hit)
+        nibbles = []
+        for base in range(0, len(touch), 4):
+            quad = touch[base : base + 4]
+            nib = [0] * 16
+            for v in range(1, 16):
+                low = v & -v
+                nib[v] = nib[v ^ low] | quad[low.bit_length() - 1]
+            nibbles.append(nib)
+        return (1 << len(masks)) - 1, meets, nibbles
+
+    @cached_property
+    def packing(self) -> int:
+        """The maximum number of pairwise-disjoint candidates."""
+        return max_disjoint_packing(self.masks)
+
+    @cached_property
+    def by_size(self) -> "_Candidates":
+        """The same list stably sorted by set size: sets of equal size
+        stay in this list's order."""
+        masks = tuple(sorted(self.masks, key=int.bit_count))
+        return _Candidates(self.target, masks, self.truncated)
+
+
 class QueryPlanner:
     """Plan searcher for one code and one recovery-set size cap.
 
     Candidate recovery sets and packing numbers are enumerated per
     symbol on demand, or for all symbols at once by `packings`, and
     reused across queries, so sweeping all queries of a given size
-    shares the expensive enumeration work. Each symbol has one record,
-    the `RecoveryEnumeration` of its current list: the plan search, the
-    conflict tables and the packing read its column masks, a list is
-    cut exactly when it is `truncated`, and its `RecoverySet`s are
-    decoded only when a plan or `candidates` returns them. Each
-    candidate list also gets conflict bitsets over its candidate
-    indices (see `_conflicts`), built on first use and dropped whenever
-    the list is enumerated again, so the plan search tests disjointness
-    with a few integer operations per node instead of a scan.
+    shares the expensive enumeration work. Each symbol has one record
+    of its current list (`_Candidates`, a `RecoveryEnumeration`): a
+    list is cut exactly when it is `truncated`, and its `RecoverySet`s
+    are decoded only when a plan or `candidates` returns them. The
+    record also carries, each built on first read from its masks, the
+    list's conflict bitsets, with which the plan search tests
+    disjointness in a few integer operations per node instead of a
+    scan; its packing number; and its copy sorted by size for the batch
+    sweep. A list enumerated again is a new record, so none of these
+    can outlive the list it was built from.
     """
 
     def __init__(self, code: LinearCode, r: int | None = None):
         self._code = code
         self._r = check_cap("r", r)
-        self._lists: dict[int, RecoveryEnumeration] = {}
-        # symbol -> (full, meets, nibbles); see _conflicts.
-        self._tables: dict[int, tuple[int, list[int], list[list[int]]]] = {}
-        self._packing: dict[int, int] = {}
+        self._lists: dict[int, _Candidates] = {}
         self._classes: tuple[tuple[int, ...], ...] | None = None
 
     @property
@@ -151,21 +207,12 @@ class QueryPlanner:
     def candidates(self, symbol: int) -> tuple[RecoverySet, ...]:
         """Complete list of minimal recovery sets for e_symbol within the cap."""
         symbol = check_int("symbol", symbol, most=self._code.k, error=InvalidQueryError)
-        self._ensure(symbol, None)
-        return self._lists[symbol].sets
+        return self._list(symbol, None).sets
 
     def max_packing(self, symbol: int) -> int:
         """Exact maximum number of pairwise-disjoint recovery sets for e_symbol."""
         symbol = check_int("symbol", symbol, most=self._code.k, error=InvalidQueryError)
-        return self._max_packing(symbol)
-
-    def _max_packing(self, symbol: int) -> int:
-        if symbol not in self._packing:
-            self._ensure(symbol, None)
-            self._packing[symbol] = max_disjoint_packing(
-                self._lists[symbol].masks
-            )
-        return self._packing[symbol]
+        return self._list(symbol, None).packing
 
     def packings(self) -> tuple[int, ...]:
         """`max_packing` of every symbol 1..k, in order.
@@ -203,11 +250,8 @@ class QueryPlanner:
                     key=reverse,
                     reverse=True,
                 )
-                lists[sym] = RecoveryEnumeration(
-                    BitVector.unit(k, sym), tuple(masks), False
-                )
-                self._tables.pop(sym, None)
-        return tuple(self._max_packing(sym) for sym in range(1, k + 1))
+                lists[sym] = _Candidates(BitVector.unit(k, sym), tuple(masks), False)
+        return tuple(self._list(sym, None).packing for sym in range(1, k + 1))
 
     def serve(self, query: Query | Iterable[int]) -> ServingPlan | None:
         """A serving plan for `query`, or None when provably none exists.
@@ -226,7 +270,7 @@ class QueryPlanner:
         groups = q.counts()
         while True:
             for sym, _ in groups:
-                self._ensure(sym, _INITIAL_CAP)
+                self._list(sym, _INITIAL_CAP)
             chosen = self._search(groups)
             if chosen is not None:
                 # Sorted indices: positions 1..t run through the groups.
@@ -237,7 +281,7 @@ class QueryPlanner:
             if not starving:
                 return None
             for sym in starving:
-                self._ensure(sym, 2 * len(self._lists[sym]))
+                self._list(sym, 2 * len(self._lists[sym]))
 
     def symbol_classes(self) -> tuple[tuple[int, ...], ...]:
         """Classes of interchangeable symbols, ascending, covering 1..k.
@@ -357,77 +401,37 @@ class QueryPlanner:
 
     def _size_ordered(self) -> "QueryPlanner":
         """A planner for the same code and cap whose candidate lists are
-        this planner's complete lists, stably sorted by set size (sets
-        of equal size stay in lexicographic order).
+        the `by_size` copies of this planner's complete lists (sets of
+        equal size stay in lexicographic order).
 
-        The view enumerates nothing itself. This planner's own lists
-        are not reordered, so its `serve` keeps its lexicographic plans.
+        The view enumerates nothing itself, and its lists, with their
+        conflict tables, are kept on this planner's records, so every
+        sweep of this planner reuses them. This planner's own lists are
+        not reordered, so its `serve` keeps its lexicographic plans.
         """
         view = QueryPlanner(self._code, self._r)
         for sym in range(1, self._code.k + 1):
-            self._ensure(sym, None)
-            enum = self._lists[sym]
-            masks = tuple(sorted(enum.masks, key=int.bit_count))
-            view._lists[sym] = RecoveryEnumeration(enum.target, masks, False)
+            view._lists[sym] = self._list(sym, None).by_size
         return view
 
-    def _ensure(self, symbol: int, cap: int | None) -> None:
-        """Enumerate the list of `symbol`, an integer in 1..k, at `cap`
-        unless the current list already serves it."""
+    def _list(self, symbol: int, cap: int | None) -> _Candidates:
+        """The record of `symbol`, an integer in 1..k, enumerated anew at
+        `cap` unless the current list already serves it."""
         # A cut list holds exactly the cap it was enumerated at.
         known = self._lists.get(symbol)
         if known is not None and (
             not known.truncated or cap is not None and len(known) >= cap
         ):
-            return
-        self._lists[symbol] = enumerate_recovery_sets(
+            return known
+        found = enumerate_recovery_sets(
             self._code,
             BitVector.unit(self._code.k, symbol),
             max_size=self._r,
             max_count=cap,
         )
-        self._tables.pop(symbol, None)
-
-    def _conflicts(self, symbol: int) -> tuple[int, list[int], list[list[int]]]:
-        """Conflict bitsets for the current candidate list of `symbol`:
-        (full, meets, nibbles).
-
-        Bit i of each bitset stands for candidate i, and `full` holds
-        them all. `meets[i]` holds the candidates sharing a column with
-        candidate i (i included). `nibbles[b][v]` holds the candidates
-        touching a column of 4b+1..4b+4 selected by the 4-bit value v,
-        so the candidates clashing with a used-column mask take one
-        lookup per 4 columns.
-        """
-        table = self._tables.get(symbol)
-        if table is None:
-            masks = self._lists[symbol].masks
-            touch = [0] * (4 * ((self._code.n + 3) // 4))
-            for i, mask in enumerate(masks):
-                bit = 1 << i
-                while mask:
-                    low = mask & -mask
-                    touch[low.bit_length() - 1] |= bit
-                    mask ^= low
-            meets = []
-            for mask in masks:
-                hit = 0
-                while mask:
-                    low = mask & -mask
-                    hit |= touch[low.bit_length() - 1]
-                    mask ^= low
-                meets.append(hit)
-            nibbles = []
-            for base in range(0, len(touch), 4):
-                quad = touch[base : base + 4]
-                nib = [0] * 16
-                for v in range(1, 16):
-                    low = v & -v
-                    nib[v] = nib[v ^ low] | quad[low.bit_length() - 1]
-                nibbles.append(nib)
-            table = ((1 << len(masks)) - 1, meets, nibbles)
-            self._tables[symbol] = table
-        return table
+        known = _Candidates(found.target, found.masks, found.truncated)
+        self._lists[symbol] = known
+        return known
 
     def _search(self, groups: Sequence[tuple[int, int]]) -> dict[int, list[int]] | None:
         """Backtracking assignment of disjoint candidate sets to groups.
@@ -469,10 +473,10 @@ class QueryPlanner:
         order = sorted(groups, key=lambda g: (len(self._lists[g[0]]), g[0]))
         infos = []
         for sym, cnt in order:
-            masks = self._lists[sym].masks
-            if len(masks) < cnt:
+            cands = self._lists[sym]
+            if len(cands) < cnt:
                 return None
-            infos.append((cnt, masks, *self._conflicts(sym)))
+            infos.append((cnt, cands.masks, *cands.conflicts))
         last = len(infos)
         # picks[gi]: group gi's candidate indices, appended deepest first
         # as a successful search returns.

@@ -88,8 +88,8 @@ class RecoveryEnumeration:
     `masks` are the sets' column masks (bit j-1 for column j), in the
     order of whoever built the record: lexicographic order of their
     sorted column tuples from `enumerate_recovery_sets` and
-    `QueryPlanner.packings`, by size in the planner's sweep view
-    (`QueryPlanner._size_ordered`). `truncated` means more sets exist
+    `QueryPlanner.packings`, by size in the copies the planner keeps
+    with its lists for the batch sweep. `truncated` means more sets exist
     beyond the count cap. `sets` holds the same sets as `RecoverySet`s,
     in the same order, decoded on first read; iteration runs over
     `sets`, and `len` counts `masks`.
@@ -293,8 +293,10 @@ def max_disjoint_packing(masks: Sequence[int]) -> int:
     """Exact maximum number of pairwise-disjoint sets among `masks`
     (column bitmasks), by branch and bound seeded with a greedy packing.
     """
-    # By size, then by mask: a stable sort by size of the sorted masks.
-    items = sorted(sorted(m for m in masks if m), key=int.bit_count)
+    # Size order is all the cut below needs: the result is exact
+    # whatever the order of sets of equal size. The profiler's lists
+    # arrive in size order from the circuit store, and sort at once.
+    items = sorted((m for m in masks if m), key=int.bit_count)
     universe = 0
     for m in items:
         universe |= m

@@ -504,6 +504,40 @@ class TestPlannerState:
             assert got == sorted(got), i
             assert len({len(c) for c in got}) > 1, i
 
+    def test_sweeps_reuse_size_ordered_lists(self, monkeypatch):
+        # Each sweep serves its queries on a view of the planner's lists
+        # sorted by size. The sorted lists are kept with the planner's
+        # own, and so are the conflict tables the exact search builds on
+        # them, each once: a second sweep rebuilds neither.
+        views = []
+        size_ordered = QueryPlanner._size_ordered
+
+        def keeping(self):
+            views.append(size_ordered(self))
+            return views[-1]
+
+        built = []
+        tables = planner_module._Candidates.conflicts
+        build = tables.func
+
+        def building(record):
+            built.append(record)
+            return build(record)
+
+        monkeypatch.setattr(QueryPlanner, "_size_ordered", keeping)
+        monkeypatch.setattr(tables, "func", building)
+        planner = QueryPlanner(simplex(4))
+        for _ in range(2):
+            assert planner.servable_all(8) == (True, None)
+        before, after = (view._lists for view in views)
+        assert before.keys() == after.keys() == {1, 2, 3, 4}
+        for sym in before:
+            assert after[sym] is before[sym], sym
+        assert built
+        shared = {id(record) for record in before.values()}
+        assert len({id(record) for record in built}) == len(built)
+        assert {id(record) for record in built} <= shared
+
     def test_serve_after_sweep_matches_warm_planner(self):
         code = simplex(4)
         swept = QueryPlanner(code)
