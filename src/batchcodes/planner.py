@@ -23,6 +23,7 @@ from .gf2 import BitVector, LinearCode, _reverse_bits
 from .recovery import (
     RecoveryEnumeration,
     RecoverySet,
+    _conflict_bitsets,
     circuit_sets,
     enumerate_recovery_sets,
     max_disjoint_packing,
@@ -131,33 +132,20 @@ class _Candidates(RecoveryEnumeration):
         touching a column of 4b+1..4b+4 selected by the 4-bit value v,
         so the candidates clashing with a used-column mask take one
         lookup per 4 columns. The tables stop at the highest column a
-        candidate touches: the columns above it clash with none.
+        candidate touches: the columns above it clash with none. `meets`
+        and the per-column bitsets the nibbles are made from come from
+        `recovery._conflict_bitsets`, which the packing search runs on.
         """
-        masks = self.masks
-        touch = [0] * (4 * ((max(masks, default=0).bit_length() + 3) // 4))
-        for i, mask in enumerate(masks):
-            bit = 1 << i
-            while mask:
-                low = mask & -mask
-                touch[low.bit_length() - 1] |= bit
-                mask ^= low
-        meets = []
-        for mask in masks:
-            hit = 0
-            while mask:
-                low = mask & -mask
-                hit |= touch[low.bit_length() - 1]
-                mask ^= low
-            meets.append(hit)
+        touch, meets = _conflict_bitsets(self.masks)
         nibbles = []
         for base in range(0, len(touch), 4):
-            quad = touch[base : base + 4]
+            quad = touch[base : base + 4] + [0] * 3  # no set past touch[-1]
             nib = [0] * 16
             for v in range(1, 16):
                 low = v & -v
                 nib[v] = nib[v ^ low] | quad[low.bit_length() - 1]
             nibbles.append(nib)
-        return (1 << len(masks)) - 1, meets, nibbles
+        return (1 << len(self.masks)) - 1, meets, nibbles
 
     @cached_property
     def packing(self) -> int:
@@ -185,9 +173,11 @@ class QueryPlanner:
     record also carries, each built on first read from its masks, the
     list's conflict bitsets, with which the plan search tests
     disjointness in a few integer operations per node instead of a
-    scan; its packing number; and its copy sorted by size for the batch
-    sweep. A list enumerated again is a new record, so none of these
-    can outlive the list it was built from.
+    scan (made from `recovery._conflict_bitsets`, the representation
+    the packing search runs on too); its packing number; and its copy
+    sorted by size for the batch sweep. A list enumerated again is a
+    new record, so none of these can outlive the list it was built
+    from.
     """
 
     def __init__(self, code: LinearCode, r: int | None = None):

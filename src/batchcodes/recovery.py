@@ -37,6 +37,12 @@ for `RecoverySet`s: `RecoveryEnumeration.sets` decodes its masks the
 first time it is read. The planner searches and packs on the masks and
 decodes only the lists it returns plans or candidates from.
 
+Disjointness has one representation, built by `_conflict_bitsets`:
+over a list of sets, bitsets of the sets holding each column (`touch`)
+and of the sets meeting each set (`meets`). `max_disjoint_packing`
+branches on them, a node's open sets being one integer, and the
+planner's plan search builds its conflict tables from them.
+
 Arguments go through the package's one integer rule (`errors.check_int`):
 an excluded column must be an integer in 1..n (DimensionError), and the
 `max_size` and `max_count` caps None or an integer >= 1 (ValueError).
@@ -289,43 +295,73 @@ def circuit_sets(
     return [lists[1 << (c - 1)] for c in columns]
 
 
+def _conflict_bitsets(masks: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Disjointness of the sets `masks` (column bitmasks) as bitsets over
+    their positions: (touch, meets).
+
+    Bit i of each bitset stands for masks[i]. `touch[c]` holds the sets
+    with column c + 1, up to the highest column a set has; `meets[i]`
+    holds the sets sharing a column with masks[i] (i included, unless it
+    is empty). The packing search below and the planner's plan search
+    both test disjointness on these.
+    """
+    touch = [0] * max(masks, default=0).bit_length()
+    for i, mask in enumerate(masks):
+        bit = 1 << i
+        while mask:
+            touch[(mask & -mask).bit_length() - 1] |= bit
+            mask &= mask - 1
+    meets = []
+    for mask in masks:
+        hit = 0
+        while mask:
+            hit |= touch[(mask & -mask).bit_length() - 1]
+            mask &= mask - 1
+        meets.append(hit)
+    return touch, meets
+
+
 def max_disjoint_packing(masks: Sequence[int]) -> int:
     """Exact maximum number of pairwise-disjoint sets among `masks`
-    (column bitmasks), by branch and bound seeded with a greedy packing.
+    (column bitmasks), by branch and bound over the sets in size order.
+
+    A node's open sets are a bitset `avail` over that order: the sets
+    after the last one taken that miss every taken set. Taking set i
+    leaves open what was open after it and misses it, `avail &
+    ~meets[i]` (`_conflict_bitsets`), and `free` counts the columns no
+    taken set has. The first descent takes the first open set at each
+    node, which is the size-first greedy packing.
     """
     # Size order is all the cut below needs: the result is exact
     # whatever the order of sets of equal size. The profiler's lists
     # arrive in size order from the circuit store, and sort at once.
     items = sorted((m for m in masks if m), key=int.bit_count)
-    universe = 0
-    for m in items:
-        universe |= m
+    touch, meets = _conflict_bitsets(items)
     sizes = [m.bit_count() for m in items]
-
     best = 0
-    used = 0
-    for m in items:
-        if not m & used:
-            used |= m
-            best += 1
 
-    def dfs(start: int, used: int, depth: int) -> None:
+    def dfs(avail: int, free: int, depth: int) -> None:
         nonlocal best
         if depth > best:
             best = depth
-        avail = [i for i in range(start, len(items)) if not items[i] & used]
-        free = (universe & ~used).bit_count()
-        for pos, i in enumerate(avail):
-            # Beating `best` takes `need` more disjoint sets from avail[pos:].
-            # They fit in the free columns only if the `need` smallest do,
-            # a prefix, as `avail` is in size order. `best` can rise in any
-            # child, so the cut is retested before each branch, and once it
-            # fails it fails for every later branch.
+        while avail:
+            # Beating `best` takes `need` more disjoint open sets. They
+            # fit in the free columns only if the `need` smallest do,
+            # the lowest set bits of `avail`. `best` can rise in any
+            # child, so the cut is retested before each branch, and
+            # once it fails it fails for every later branch.
             need = best - depth + 1
-            rest = avail[pos : pos + need]
-            if len(rest) < need or sum(sizes[j] for j in rest) > free:
+            room = free
+            rest = avail
+            while need and rest:
+                room -= sizes[(rest & -rest).bit_length() - 1]
+                rest &= rest - 1
+                need -= 1
+            if need or room < 0:
                 break
-            dfs(i + 1, used | items[i], depth + 1)
+            i = (avail & -avail).bit_length() - 1
+            avail &= avail - 1
+            dfs(avail & ~meets[i], free - sizes[i], depth + 1)
 
-    dfs(0, 0, 0)
+    dfs((1 << len(items)) - 1, len(touch) - touch.count(0), 0)
     return best

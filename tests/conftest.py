@@ -119,6 +119,14 @@ def column_matrix(k: int, columns: list[int]) -> BitMatrix:
     return BitMatrix(len(columns), rows)
 
 
+# Columns of a systematic k=8, n=24 code whose uncapped symbol lists
+# hold 1287-1826 recovery sets each, far past the brute-force oracles.
+K8_COLUMNS = [
+    160, 2, 4, 154, 33, 8, 9, 34, 128, 207, 94, 32,
+    64, 176, 226, 136, 112, 85, 16, 246, 145, 116, 1, 170,
+]
+
+
 @st.composite
 def small_codes(draw, k_max: int = 4, n_max: int = 9):
     """Full-rank generator matrices with k <= k_max and n <= n_max, not

@@ -4,6 +4,8 @@ Everything here favors obviousness over speed and shares no code with
 the package internals: subset sums come from a full 2^n table, planning
 searches all recovery sets (not only minimal ones), packing is plain
 recursion, and the distance oracle evaluates every dot product directly.
+`reference_max_packing` is the package's earlier list-based packing
+search, for lists too long for plain recursion.
 `reference_plan` is the one search over minimal sets only: it follows
 the planner's documented search order, without any of its pruning, so
 that plans can be compared exactly. `reference_lrc_profile` rebuilds the
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
+from typing import Sequence
 
 from batchcodes import BitVector, LinearCode, RecoverySet, ServingPlan
 
@@ -252,6 +255,51 @@ def brute_max_packing(masks: list[int]) -> int:
         return best
 
     return go(0, 0)
+
+
+def reference_max_packing(masks: Sequence[int]) -> int:
+    """Exact maximum number of pairwise-disjoint sets among `masks`:
+    the list-based branch and bound the package used before its bitset
+    search, kept as it was. It seeds the search with a greedy packing
+    and rebuilds each node's open sets as a list, so it reaches lists
+    far past `brute_max_packing`'s, with an independent representation.
+    """
+    # Size order is all the cut below needs: the result is exact
+    # whatever the order of sets of equal size. The profiler's lists
+    # arrive in size order from the circuit store, and sort at once.
+    items = sorted((m for m in masks if m), key=int.bit_count)
+    universe = 0
+    for m in items:
+        universe |= m
+    sizes = [m.bit_count() for m in items]
+
+    best = 0
+    used = 0
+    for m in items:
+        if not m & used:
+            used |= m
+            best += 1
+
+    def dfs(start: int, used: int, depth: int) -> None:
+        nonlocal best
+        if depth > best:
+            best = depth
+        avail = [i for i in range(start, len(items)) if not items[i] & used]
+        free = (universe & ~used).bit_count()
+        for pos, i in enumerate(avail):
+            # Beating `best` takes `need` more disjoint sets from avail[pos:].
+            # They fit in the free columns only if the `need` smallest do,
+            # a prefix, as `avail` is in size order. `best` can rise in any
+            # child, so the cut is retested before each branch, and once it
+            # fails it fails for every later branch.
+            need = best - depth + 1
+            rest = avail[pos : pos + need]
+            if len(rest) < need or sum(sizes[j] for j in rest) > free:
+                break
+            dfs(i + 1, used | items[i], depth + 1)
+
+    dfs(0, 0, 0)
+    return best
 
 
 def reference_lrc_profile(

@@ -13,6 +13,7 @@ from math import ceil
 
 from batchcodes import (
     BitVector,
+    LinearCode,
     Query,
     QueryPlanner,
     batch_t,
@@ -34,7 +35,7 @@ from batchcodes import (
     triplicated_parity,
     zs_systematic,
 )
-from conftest import random_systematic
+from conftest import K8_COLUMNS, column_matrix, random_systematic
 from oracles import brute_minimal_recovery_sets, brute_plan_exists, subset_sum_table
 
 
@@ -312,3 +313,19 @@ def test_criterion_19_capped_k5_searches_under_4s():
     elapsed = time.perf_counter() - start
     assert elapsed < 4.0, f"took {elapsed:.2f}s"
     print(f"criterion 19: capped (5,3), (5,2) and PIR (5,3) searches in {elapsed:.3f}s")
+
+
+def test_criterion_20_uncapped_k8_profile_under_5s():
+    # Each uncapped symbol list holds 1287-1826 recovery sets, and the
+    # packing search visits about 177 000 nodes.
+    code = LinearCode(column_matrix(8, K8_COLUMNS))
+    start = time.perf_counter()
+    prof = profile(code)
+    assert (prof.n, prof.k, prof.d) == (24, 8, 4)
+    assert (prof.batch_t, prof.pir_t) == (4, 4)
+    assert (prof.all_symbol.locality, prof.all_symbol.availability) == (3, 2)
+    assert prof.info_symbol.availability == 4
+    assert info_lrc_profile(code, include_self=False).availability == 3
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"took {elapsed:.2f}s"
+    print(f"criterion 20: uncapped k=8, n=24 profile in {elapsed:.3f}s")

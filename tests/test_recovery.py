@@ -25,6 +25,7 @@ from batchcodes import (
     subcube,
 )
 from conftest import (
+    K8_COLUMNS,
     assert_circuits_stored_once,
     assert_one_fill,
     column_matrix,
@@ -36,6 +37,7 @@ from conftest import (
 from oracles import (
     brute_max_packing,
     brute_minimal_recovery_sets,
+    reference_max_packing,
     subset_sum_table,
 )
 
@@ -253,6 +255,50 @@ def test_packing_matches_oracle(data, n):
     are; the oracle would count an empty one as a set."""
     masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=14))
     assert max_disjoint_packing(masks) == brute_max_packing(masks)
+
+
+@st.composite
+def packing_lists(draw):
+    """Up to 200 nonempty column masks over up to 24 columns, each of at
+    least a quarter of the columns, so that both searches stay quick."""
+    n = draw(st.integers(1, 24))
+    columns = st.sets(st.integers(0, n - 1), min_size=max(1, n // 4))
+    family = draw(st.lists(columns, max_size=200))
+    return [sum(1 << c for c in cols) for cols in family]
+
+
+# The uncapped list of symbol 1 of a k=8, n=24 code: 1517 sets.
+K8_SYMBOL_1 = list(
+    enumerate_recovery_sets(
+        LinearCode(column_matrix(8, K8_COLUMNS)), BitVector.unit(8, 1)
+    ).masks
+)
+
+
+@settings(max_examples=60)
+@given(masks=packing_lists())
+@example(masks=K8_SYMBOL_1)
+def test_packing_matches_reference(masks):
+    """The bitset search against the list-based one, on lists far too
+    long for the brute-force oracle."""
+    assert max_disjoint_packing(masks) == reference_max_packing(masks)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(0, (1 << 12) - 1), max_size=20))
+def test_conflict_bitsets(masks):
+    """Bit i of touch[c] is set iff masks[i] has column c + 1, and bit j
+    of meets[i] iff masks[i] and masks[j] share a column."""
+    touch, meets = recovery._conflict_bitsets(masks)
+    assert len(touch) == max(masks, default=0).bit_length()
+    assert len(meets) == len(masks)
+    for i, mask in enumerate(masks):
+        for c, holders in enumerate(touch):
+            assert holders >> i & 1 == mask >> c & 1
+        for j, other in enumerate(masks):
+            assert meets[i] >> j & 1 == bool(mask & other)
+    for holders in touch:
+        assert holders < 1 << len(masks)
 
 
 class TestMaxDisjointPacking:
