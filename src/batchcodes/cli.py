@@ -8,9 +8,9 @@ usage, parse, or validation errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import constructions
@@ -53,7 +53,59 @@ def _read_code(path: str) -> LinearCode:
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    """Print `obj` as `print(json.dumps(obj, indent=2))` would, byte for
+    byte. With `indent` set, `json.dumps` runs its pure-Python encoder,
+    which costs more than this writer for the same bytes."""
+    out: list[str] = []
+    _write_json(obj, "", out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
+
+
+def _write_json(value, pad: str, out: list[str]) -> None:
+    """Append the `json.dumps(value, indent=2)` text of `value`, nested
+    at indent `pad`, to `out`: dicts with str keys, lists and tuples,
+    str, int, bool and None. Any other type raises TypeError."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        # int.__repr__, as json does, so that an int subclass such as
+        # an IntEnum prints as its number.
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable"
+        )
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

@@ -438,8 +438,9 @@ class QueryPlanner:
         `pick` places the group's copies one at a time, with the
         group's tables passed as arguments. The last copy walks its
         open candidates and calls `place` for the next group directly.
-        `place` tests the open count itself before its `pick`, saving a
-        call on every state whose group cannot start. A search that
+        `pick` expects at least `left` open candidates: both of its
+        callers test the open count before the call, so no call is made
+        only to fail that test. A search that
         succeeds records its picks on the way out, one list per group,
         so no node keeps a record of its own.
 
@@ -500,8 +501,6 @@ class QueryPlanner:
         def pick(
             gi: int, left: int, used: int, avail: int, masks: tuple[int, ...], meets: list[int]
         ) -> bool:
-            if avail.bit_count() < left:
-                return False
             if left == 1:
                 # The group's last copy: each open candidate goes
                 # straight on to the next group.
@@ -517,7 +516,10 @@ class QueryPlanner:
                 low = avail & -avail
                 i = low.bit_length() - 1
                 avail ^= low
-                if pick(gi, left - 1, used | masks[i], avail & ~meets[i], masks, meets):
+                child = avail & ~meets[i]
+                if child.bit_count() >= left - 1 and pick(
+                    gi, left - 1, used | masks[i], child, masks, meets
+                ):
                     picks[gi].append(i)
                     return True
             return False

@@ -37,11 +37,16 @@ for `RecoverySet`s: `RecoveryEnumeration.sets` decodes its masks the
 first time it is read. The planner searches and packs on the masks and
 decodes only the lists it returns plans or candidates from.
 
-Disjointness has one representation, built by `_conflict_bitsets`:
-over a list of sets, bitsets of the sets holding each column (`touch`)
-and of the sets meeting each set (`meets`). `max_disjoint_packing`
-branches on them, a node's open sets being one integer, and the
-planner's plan search builds its conflict tables from them.
+Disjointness has one representation: over a list of sets, bitsets of
+the sets holding each column (`_touch`) and of the sets meeting one
+set (`_meets`, an OR of `touch` entries). The planner's plan search
+builds its conflict tables from both, for every set at once
+(`_conflict_bitsets`). `max_disjoint_packing` first takes the greedy
+packing in one pass and returns it when the search's root cut already
+shows it is the maximum, which settles most lists before any bitset is
+built; otherwise it branches on them, a node's open sets being one
+integer, and builds a set's `meets` entry only when it first branches
+on that set.
 
 Arguments go through the package's one integer rule (`errors.check_int`):
 an excluded column must be an integer in 1..n (DimensionError), and the
@@ -295,50 +300,75 @@ def circuit_sets(
     return [lists[1 << (c - 1)] for c in columns]
 
 
-def _conflict_bitsets(masks: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Disjointness of the sets `masks` (column bitmasks) as bitsets over
-    their positions: (touch, meets).
-
-    Bit i of each bitset stands for masks[i]. `touch[c]` holds the sets
-    with column c + 1, up to the highest column a set has; `meets[i]`
-    holds the sets sharing a column with masks[i] (i included, unless it
-    is empty). The packing search below and the planner's plan search
-    both test disjointness on these.
-    """
+def _touch(masks: Sequence[int]) -> list[int]:
+    """Bitsets of the sets holding each column: bit i of `touch[c]` is
+    set when masks[i] has column c + 1, up to the highest column a set
+    has."""
     touch = [0] * max(masks, default=0).bit_length()
     for i, mask in enumerate(masks):
         bit = 1 << i
         while mask:
             touch[(mask & -mask).bit_length() - 1] |= bit
             mask &= mask - 1
-    meets = []
-    for mask in masks:
-        hit = 0
-        while mask:
-            hit |= touch[(mask & -mask).bit_length() - 1]
-            mask &= mask - 1
-        meets.append(hit)
-    return touch, meets
+    return touch
+
+
+def _meets(touch: list[int], mask: int) -> int:
+    """The sets sharing a column with `mask`, as a bitset over the
+    positions `touch` (from `_touch`) indexes."""
+    hit = 0
+    while mask:
+        hit |= touch[(mask & -mask).bit_length() - 1]
+        mask &= mask - 1
+    return hit
+
+
+def _conflict_bitsets(masks: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Disjointness of the sets `masks` (column bitmasks) as bitsets over
+    their positions: (touch, meets).
+
+    Bit i of each bitset stands for masks[i]. `touch[c]` holds the sets
+    with column c + 1 (`_touch`); `meets[i]` holds the sets sharing a
+    column with masks[i] (i included, unless it is empty; `_meets`).
+    The planner's plan search tests disjointness on these, and the
+    packing search below on the same two helpers.
+    """
+    touch = _touch(masks)
+    return touch, [_meets(touch, mask) for mask in masks]
 
 
 def max_disjoint_packing(masks: Sequence[int]) -> int:
     """Exact maximum number of pairwise-disjoint sets among `masks`
     (column bitmasks), by branch and bound over the sets in size order.
 
-    A node's open sets are a bitset `avail` over that order: the sets
-    after the last one taken that miss every taken set. Taking set i
-    leaves open what was open after it and misses it, `avail &
-    ~meets[i]` (`_conflict_bitsets`), and `free` counts the columns no
-    taken set has. The first descent takes the first open set at each
-    node, which is the size-first greedy packing.
+    The size-first greedy packing, taken in one pass, is the first
+    lower bound. It is the answer, and nothing is built, when it took
+    every set or when the greedy + 1 smallest sets need more columns
+    than the list touches: the search's cut at its root. Otherwise the
+    search starts from it. A node's open sets are a bitset `avail` over
+    the size order: the sets after the last one taken that miss every
+    taken set. Taking set i leaves open what was open after it and
+    misses it, `avail & ~meets[i]`, with `meets[i]` built from the
+    column bitsets (`_touch`, `_meets`) the first time branch i is
+    taken; `free` counts the columns no taken set has.
     """
     # Size order is all the cut below needs: the result is exact
     # whatever the order of sets of equal size. The profiler's lists
     # arrive in size order from the circuit store, and sort at once.
     items = sorted((m for m in masks if m), key=int.bit_count)
-    touch, meets = _conflict_bitsets(items)
     sizes = [m.bit_count() for m in items]
-    best = 0
+    best = used = cover = 0
+    for m in items:
+        cover |= m
+        if not m & used:
+            used |= m
+            best += 1
+    free = cover.bit_count()
+    if best == len(items) or sum(sizes[: best + 1]) > free:
+        return best
+    touch = _touch(items)
+    # meets[i] is 0 until branch i is first taken: a nonempty set meets itself.
+    meets = [0] * len(items)
 
     def dfs(avail: int, free: int, depth: int) -> None:
         nonlocal best
@@ -361,7 +391,10 @@ def max_disjoint_packing(masks: Sequence[int]) -> int:
                 break
             i = (avail & -avail).bit_length() - 1
             avail &= avail - 1
-            dfs(avail & ~meets[i], free - sizes[i], depth + 1)
+            hit = meets[i]
+            if not hit:
+                hit = meets[i] = _meets(touch, items[i])
+            dfs(avail & ~hit, free - sizes[i], depth + 1)
 
-    dfs((1 << len(items)) - 1, len(touch) - touch.count(0), 0)
+    dfs((1 << len(items)) - 1, free, 0)
     return best

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, and JSON output."""
 
+import contextlib
 import io
 import json
 import os
@@ -8,10 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import batchcodes.report as report_module
 from batchcodes import Query, QueryPlanner, format_matrix, simplex, subcube
-from batchcodes.cli import build_parser, main
+from batchcodes.cli import _emit_json, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -42,11 +45,63 @@ def run(capsys, argv, stdin_text=None):
     return code, captured.out, captured.err
 
 
+def as_dumps(out: str) -> str:
+    """`out` as `print(json.dumps(value, indent=2))` prints the value it
+    holds."""
+    return json.dumps(json.loads(out), indent=2) + "\n"
+
+
 @pytest.fixture
 def subcube_file(tmp_path):
     path = tmp_path / "subcube21.txt"
     path.write_text(format_matrix(subcube(2, 1).generator))
     return str(path)
+
+
+def emitted(value) -> str:
+    """What `_emit_json(value)` prints."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit_json(value)
+    return buf.getvalue()
+
+
+# JSON values as the writer takes them: str keys, lists and tuples,
+# strings with non-ASCII, control and lone surrogate characters, ints
+# past 64 bits of either sign, bools and None.
+any_text = st.text(st.characters(exclude_categories=()))
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | st.integers(max_value=-(2**64))
+    | any_text,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(any_text, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300)
+    @given(json_values)
+    def test_matches_json_dumps(self, value):
+        assert emitted(value) == json.dumps(value, indent=2) + "\n"
+
+    def test_edge_values(self):
+        edges = (
+            {}, [], (), "", {"": [{}, [], ""]},
+            "\x00\x1f\"\\/\u00e9\ud800\U0001f600", -(2**70), True,
+        )
+        for value in edges:
+            assert emitted(value) == json.dumps(value, indent=2) + "\n", value
+
+    def test_rejects_other_types(self):
+        for value in (1.5, {1, 2}, b"x", {"a": [1, object()]}, {1: 2}):
+            with pytest.raises(TypeError):
+                emitted(value)
 
 
 class TestConstruct:
@@ -97,8 +152,9 @@ class TestAnalyze:
             stdin_text=text,
         )
         assert code == 0
-        golden = json.loads((GOLDEN / "simplex3_r2.json").read_text())
-        assert json.loads(out) == golden
+        # Bytes, not parsed values: a change of whitespace or escaping in
+        # the JSON writer must fail here.
+        assert out == (GOLDEN / "simplex3_r2.json").read_text()
 
     def test_plans_come_from_a_fresh_planner(self, capsys):
         simplex4 = simplex(4)
@@ -192,6 +248,7 @@ class TestQuery:
     def test_json(self, capsys, subcube_file):
         code, out, err = run(capsys, ["query", subcube_file, "1,2", "--json"])
         assert code == 0
+        assert out == as_dumps(out)
         obj = json.loads(out)
         assert obj["servable"] is True
         assert obj["query"] == [1, 2]
@@ -246,6 +303,7 @@ class TestBounds:
             ],
         )
         assert code == 0
+        assert out == as_dumps(out)
         rows = {v["name"]: v for v in json.loads(out)}
         assert rows["zs_systematic"]["rhs"] == 7
         assert rows["zs_systematic"]["attained"] is True
@@ -348,6 +406,7 @@ class TestSearch:
             capsys, ["search", "--k", "3", "--t", "2", "--json"]
         )
         assert code == 0
+        assert out == as_dumps(out)
         obj = json.loads(out)
         assert obj["optimal_n"] == 4
         assert obj["witness"]["rows"] == ["1001", "0101", "0011"]

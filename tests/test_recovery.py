@@ -18,6 +18,7 @@ from batchcodes import (
     build_report,
     enumerate_recovery_sets,
     max_disjoint_packing,
+    pir_t,
     rank,
     recovery,
     report_to_dict,
@@ -267,6 +268,31 @@ def packing_lists(draw):
     return [sum(1 << c for c in cols) for cols in family]
 
 
+@st.composite
+def disjoint_lists(draw):
+    """Up to 24 pairwise-disjoint nonempty column masks, in random order:
+    the greedy packing takes every set and settles the list."""
+    columns = draw(st.permutations(range(draw(st.integers(1, 24)))))
+    cuts = sorted(draw(st.sets(st.integers(0, len(columns)))) | {0, len(columns)})
+    masks = [sum(1 << c for c in columns[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return draw(st.permutations(masks))
+
+
+@st.composite
+def greedy_short_lists(draw):
+    """Lists whose size-first greedy packing is half the optimum, so
+    the search must run: per gadget, on four fresh columns a, b, c, d,
+    the pairs {a,b}, {a,c} and {b,d} in that order. The greedy takes
+    {a,b} and then neither other pair; the optimum takes both."""
+    gadgets = draw(st.integers(1, 6))
+    columns = draw(st.permutations(range(4 * gadgets)))
+    masks = []
+    for g in range(gadgets):
+        a, b, c, d = (1 << col for col in columns[4 * g : 4 * g + 4])
+        masks += [a | b, a | c, b | d]
+    return masks
+
+
 # The uncapped list of symbol 1 of a k=8, n=24 code: 1517 sets.
 K8_SYMBOL_1 = list(
     enumerate_recovery_sets(
@@ -275,12 +301,13 @@ K8_SYMBOL_1 = list(
 )
 
 
-@settings(max_examples=60)
-@given(masks=packing_lists())
+@settings(max_examples=90)
+@given(masks=packing_lists() | disjoint_lists() | greedy_short_lists())
 @example(masks=K8_SYMBOL_1)
 def test_packing_matches_reference(masks):
     """The bitset search against the list-based one, on lists far too
-    long for the brute-force oracle."""
+    long for the brute-force oracle, on lists the greedy exit settles,
+    and on lists where the search must beat the greedy packing."""
     assert max_disjoint_packing(masks) == reference_max_packing(masks)
 
 
@@ -312,6 +339,24 @@ class TestMaxDisjointPacking:
         # {1,3} with {2,4}.
         assert max_disjoint_packing([0b0011, 0b0101, 0b1010]) == 2
         assert max_disjoint_packing([0, 0b1]) == 1
+
+    def test_greedy_exit_builds_no_bitsets(self, monkeypatch):
+        """The five 3684-set lists of uncapped pir_t(simplex(5)) are
+        settled by the greedy packing and the root cut, before any
+        column bitset is built; a list whose greedy packing falls short
+        builds one."""
+        built = []
+        real = recovery._touch
+
+        def counting(masks):
+            built.append(len(masks))
+            return real(masks)
+
+        monkeypatch.setattr(recovery, "_touch", counting)
+        assert pir_t(simplex(5)) == 16
+        assert built == []
+        assert max_disjoint_packing([0b0011, 0b0101, 0b1010]) == 2
+        assert built == [3]
 
     def test_matches_oracle_on_random_families(self):
         rng = random.Random(23)
