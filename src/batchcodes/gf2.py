@@ -349,13 +349,13 @@ class LinearCode:
     """Linear [n, k] code over GF(2) given by a full-row-rank generator matrix.
 
     Column lookups, the pivot basis of the columns, the minimum
-    distance, and the systematic column map are computed once and
-    cached. The code also holds the store of the circuits of its column
-    matroid, `_circuits = (size, circuits)`: every circuit of 2 to
-    size + 1 columns, one value, which the recovery layer's
-    `circuit_sets` replaces whole when a request needs a larger size,
-    and which lives as long as the code. The generator and everything
-    derived from it never change.
+    distance, the packing bounds, and the systematic column map are
+    computed once and cached. The code also holds the store of the
+    circuits of its column matroid, `_circuits = (size, circuits)`:
+    every circuit of 2 to size + 1 columns, one value, which the
+    recovery layer's `circuit_sets` replaces whole when a request needs
+    a larger size, and which lives as long as the code. The generator
+    and everything derived from it never change.
     """
 
     def __init__(self, generator: BitMatrix):
@@ -442,6 +442,47 @@ class LinearCode:
                         break
             self._distance = best
         return self._distance
+
+    @cached_property
+    def packing_bounds(self) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
+        """Upper bounds on disjoint recovery sets, (units, columns), read
+        off the k generator rows and their k(k-1)/2 pairwise sums.
+
+        A recovery set S of a word v has its columns sum to v, so a
+        codeword c = mG has sum over j in S of c_j = <m, v>. For v = e_i
+        and m_i = 1 that sum is 1: c has odd, so nonzero, weight on
+        every recovery set of e_i, and t disjoint ones need t columns of
+        its support. `units[i-1]` is the least weight of such a codeword
+        with m_i = 1. For v = column j and c_j = 1, the same holds for
+        the sets avoiding j, on the support less j: `columns[j-1]` is the
+        least weight less 1 of such a codeword with c_j = 1, None for a
+        zero column, which every codeword misses. Any subset of the
+        sets, such as those within a size cap, packs within the bound.
+        """
+        rows = self._generator.row_words
+        light = [(w.bit_count(), 1 << i, w) for i, w in enumerate(rows)]
+        for i, a in enumerate(rows):
+            for j in range(i + 1, len(rows)):
+                b = a ^ rows[j]
+                light.append((b.bit_count(), 1 << i | 1 << j, b))
+        # In weight order, the first codeword to reach a symbol or a
+        # column is its lightest.
+        light.sort()
+        units = [0] * self.k
+        columns: list[int | None] = [None] * self.n
+        open_units, open_columns = (1 << self.k) - 1, (1 << self.n) - 1
+        for w, m, c in light:
+            new = m & open_units
+            open_units ^= new
+            while new:
+                units[(new & -new).bit_length() - 1] = w
+                new &= new - 1
+            new = c & open_columns
+            open_columns ^= new
+            while new:
+                columns[(new & -new).bit_length() - 1] = w - 1
+                new &= new - 1
+        return tuple(units), tuple(columns)
 
     @cached_property
     def _identity_columns(self) -> dict[int, int] | None:

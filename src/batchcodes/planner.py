@@ -13,11 +13,11 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
 from typing import Iterable, Sequence
 
 from .errors import InvalidQueryError, check_cap, check_int
-from .gf2 import BitVector, LinearCode, _reverse_bits
+from .gf2 import BitVector, LinearCode
 # perfbench/tracer.py patches `enumerate_recovery_sets` and
 # `max_disjoint_packing` here by name.
 from .recovery import (
@@ -45,6 +45,8 @@ _INITIAL_CAP = 64
 # query can fail in tens of thousands of distinct states; the first few
 # hundred recorded already skip most repeats, at a fixed memory cost.
 _MEMO_LIMIT = 256
+# Each byte value with its 8 bits in reverse order.
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -116,10 +118,10 @@ class ServingPlan:
 
 
 class _Candidates(RecoveryEnumeration):
-    """One symbol's candidate list, with what the planner derives from
-    it, each built from this record's masks on first read and kept with
-    them. A list enumerated again is a new record, so nothing derived
-    from an older list outlives it.
+    """One symbol's candidate list, with the tables the planner derives
+    from it, each built from this record's masks on first read and kept
+    with them. A list enumerated again is a new record, so nothing
+    derived from an older list outlives it.
     """
 
     @cached_property
@@ -148,11 +150,6 @@ class _Candidates(RecoveryEnumeration):
         return (1 << len(self.masks)) - 1, meets, nibbles
 
     @cached_property
-    def packing(self) -> int:
-        """The maximum number of pairwise-disjoint candidates."""
-        return max_disjoint_packing(self.masks)
-
-    @cached_property
     def by_size(self) -> "_Candidates":
         """The same list stably sorted by set size: sets of equal size
         stay in this list's order."""
@@ -163,9 +160,9 @@ class _Candidates(RecoveryEnumeration):
 class QueryPlanner:
     """Plan searcher for one code and one recovery-set size cap.
 
-    Candidate recovery sets and packing numbers are enumerated per
-    symbol on demand, or for all symbols at once by `packings`, and
-    reused across queries, so sweeping all queries of a given size
+    Candidate recovery sets are enumerated per symbol on demand, or
+    for all symbols at once by `packings`, and reused across queries
+    and packings, so sweeping all queries of a given size
     shares the expensive enumeration work. Each symbol has one record
     of its current list (`_Candidates`, a `RecoveryEnumeration`): a
     list is cut exactly when it is `truncated`, and its `RecoverySet`s
@@ -174,10 +171,10 @@ class QueryPlanner:
     list's conflict bitsets, with which the plan search tests
     disjointness in a few integer operations per node instead of a
     scan (made from `recovery._conflict_bitsets`, the representation
-    the packing search runs on too); its packing number; and its copy
-    sorted by size for the batch sweep. A list enumerated again is a
-    new record, so none of these can outlive the list it was built
-    from.
+    the packing search runs on too), and its copy sorted by size for
+    the batch sweep. A list enumerated again is a new record, so
+    neither can outlive the list it was built from. Packing numbers
+    are computed from a symbol's complete list on each request.
     """
 
     def __init__(self, code: LinearCode, r: int | None = None):
@@ -202,7 +199,7 @@ class QueryPlanner:
     def max_packing(self, symbol: int) -> int:
         """Exact maximum number of pairwise-disjoint recovery sets for e_symbol."""
         symbol = check_int("symbol", symbol, most=self._code.k, error=InvalidQueryError)
-        return self._list(symbol, None).packing
+        return max_disjoint_packing(self._list(symbol, None).masks)
 
     def packings(self) -> tuple[int, ...]:
         """`max_packing` of every symbol 1..k, in order.
@@ -218,30 +215,43 @@ class QueryPlanner:
         each list is e_i's sets from the store plus {sigma(i)}, put in
         lexicographic order: the list `candidates` returns. Without
         every unit column, each symbol is enumerated on its own.
+
+        Each packing search is given e_i's codeword-weight bound
+        (`LinearCode.packing_bounds`) and stops once a packing reaches
+        it.
         """
-        k = self._code.k
-        colmap = self._code.identity_column_map()
+        code = self._code
+        k = code.k
+        colmap = code._identity_columns
         lists = self._lists
         stale = [
             s for s in range(1, k + 1) if s not in lists or lists[s].truncated
         ]
         if colmap is not None and stale:
-            found = circuit_sets(self._code, list(colmap.values()), self._r)
+            found = circuit_sets(code, list(colmap.values()), self._r)
             # No set of one list contains another. Of two such sets, the
             # one holding the lowest column in which they differ comes
             # first in lexicographic order: the other shares every
             # column below it and, not being a subset, has a larger one
-            # next. Bit reversal makes that column the highest
-            # differing bit, so the order is descending reversed mask.
-            reverse = partial(_reverse_bits, width=self._code.n)
+            # next. A mask's little-endian bytes, each bit-reversed,
+            # put columns 1, 2, ... from the most significant bit of the
+            # first byte on, so that column is the first differing bit
+            # and the order is descending order of those bytes.
+            to_bytes = partial(
+                int.to_bytes, length=(code.n + 7) // 8, byteorder="little"
+            )
             for sym in stale:
-                masks = sorted(
-                    found[sym - 1] + [1 << (colmap[sym] - 1)],
-                    key=reverse,
-                    reverse=True,
+                masks = found[sym - 1] + [1 << (colmap[sym] - 1)]
+                keys = map(bytes.translate, map(to_bytes, masks), repeat(_REVERSED_BYTES))
+                order = sorted(zip(keys, masks), reverse=True)
+                lists[sym] = _Candidates(
+                    BitVector.unit(k, sym), tuple(m for _, m in order), False
                 )
-                lists[sym] = _Candidates(BitVector.unit(k, sym), tuple(masks), False)
-        return tuple(self._list(sym, None).packing for sym in range(1, k + 1))
+        units, _ = code.packing_bounds
+        return tuple(
+            max_disjoint_packing(self._list(sym, None).masks, units[sym - 1])
+            for sym in range(1, k + 1)
+        )
 
     def serve(self, query: Query | Iterable[int]) -> ServingPlan | None:
         """A serving plan for `query`, or None when provably none exists.

@@ -7,9 +7,21 @@ disjoint-packing number per symbol. A uniform query (i, i, ..., i) is
 servable exactly when e_i admits t pairwise-disjoint recovery sets, so
 batch_t never exceeds pir_t. Servability is also monotone in t: every
 query of t-1 symbols extends to one of t symbols, and dropping a
-position from a plan for it leaves a plan. So the batch sweep starts
-at t = pir_t and steps down only while a sweep fails; where batch_t
-equals pir_t, as it does for every named family, that is one sweep.
+position from a plan for it leaves a plan.
+
+Below a floor, batch_t = pir_t needs no sweep. A query of one symbol i
+is servable exactly when e_i has a recovery set, so pir_t <= 1 is
+batch_t on any code. On a code with every unit column, every query of
+t <= min(pir_t, 3) symbols is servable: at most one of its symbols
+repeats. A query of distinct symbols takes their identity columns. A
+query in which only symbol i repeats, a times, takes {sigma(j)} for
+each other symbol j; those t - a columns meet at most t - a of e_i's
+t disjoint recovery sets, so a of them are left for the copies of i.
+So `_batch` returns pir_t when it is at most the floor (3 on such a
+code, 1 otherwise); above it, it sweeps t = pir_t first, steps down
+only while a sweep fails, and returns the floor unswept when it gets
+there. Where batch_t equals pir_t, as it does for every named family,
+that is one sweep, or none.
 
 A minimal recovery set of column j that avoids j is, together with j,
 a circuit of the generator's column matroid. The repair profiles read
@@ -23,12 +35,14 @@ which happens by size k. Each deeper size fills the store afresh,
 searching every live column again at that size.
 
 The PIR packings and the information-symbol entries of `profile` are
-read off the query planner that serves its batch sweeps. On a code
-with every unit column, `QueryPlanner.packings` reads all k complete
-lists from the circuit store over the identity columns. Each batch
-sweep tests one query per orbit of interchangeable symbols, and serves
-most of them by extending the previous query's plan
-(`QueryPlanner.servable_all`).
+read off the query planner that serves its batch sweeps, once per
+profile. On a code with every unit column, `QueryPlanner.packings`
+reads all k complete lists from the circuit store over the identity
+columns. Each batch sweep tests one query per orbit of interchangeable
+symbols, and serves most of them by extending the previous query's
+plan (`QueryPlanner.servable_all`). Every packing of the planner and
+of the repair profiles is given its codeword-weight bound
+(`LinearCode.packing_bounds`) and stops once it reaches it.
 """
 
 from __future__ import annotations
@@ -114,19 +128,23 @@ def pir_t(code: LinearCode, r: int | None = None) -> int:
 
 def batch_t(code: LinearCode, r: int | None = None) -> int:
     """Largest t with every multiset query of t symbols servable."""
-    return _batch(QueryPlanner(code, r))
+    planner = QueryPlanner(code, r)
+    return _batch(planner, _pir(planner))
 
 
 def _pir(planner: QueryPlanner) -> int:
     return min(planner.packings())
 
 
-def _batch(planner: QueryPlanner) -> int:
-    """Sweep t = pir_t first and step down while a sweep fails; since
-    servability is monotone in t (module docstring), the first t that
-    passes is batch_t."""
-    t = _pir(planner)
-    while t > 0 and not planner.servable_all(t)[0]:
+def _batch(planner: QueryPlanner, pir: int) -> int:
+    """batch_t from the planner's pir_t: every t up to a floor is
+    servable by proof (module docstring), so pir_t at or below it is
+    the answer. Above it, sweep t = pir_t first and step down while a
+    sweep fails; since servability is monotone in t, the first t that
+    passes is batch_t, and reaching the floor ends the steps."""
+    low = 3 if planner.code.is_systematic else 1
+    t = pir
+    while t > low and not planner.servable_all(t)[0]:
         t -= 1
     return t
 
@@ -167,6 +185,7 @@ def _repair_profile(
         )
     cap = r if r is not None or unbounded else size
     by_column = dict(zip(live, sets))
+    _, bounds = code.packing_bounds
     entries = []
     for index, c in targets:
         if not words[c - 1]:
@@ -175,7 +194,8 @@ def _repair_profile(
         masks = by_column.get(c, [])  # a coloop has none
         min_size = min((m.bit_count() for m in masks), default=None)
         fit = [m for m in masks if cap is None or m.bit_count() <= cap]
-        entries.append(SymbolRecovery(index, min_size, max_disjoint_packing(fit)))
+        packing = max_disjoint_packing(fit, bounds[c - 1])
+        entries.append(SymbolRecovery(index, min_size, packing))
     return _aggregate(cap, entries)
 
 
@@ -223,22 +243,18 @@ def info_lrc_profile(
             "info-symbol profile requires a systematic code"
         )
     if include_self:
-        return _info_profile(QueryPlanner(code, r))
+        return _info_profile(r, QueryPlanner(code, r).packings())
     return _repair_profile(
         code, list(colmap.items()), r, cap_at_locality=False
     )
 
 
-def _info_profile(planner: QueryPlanner) -> LrcProfile:
+def _info_profile(r: int | None, packings: tuple[int, ...]) -> LrcProfile:
     """Info-symbol profile (identity columns in play) of a systematic
-    code at the planner's cap, read off the planner's packings. Every
-    smallest set has size 1: the identity column of e_i is one, under
-    any cap."""
-    entries = [
-        SymbolRecovery(i, 1, packing)
-        for i, packing in enumerate(planner.packings(), 1)
-    ]
-    return _aggregate(planner.r, entries)
+    code at cap r, from its planner's packings at r. Every smallest set
+    has size 1: the identity column of e_i is one, under any cap."""
+    entries = [SymbolRecovery(i, 1, p) for i, p in enumerate(packings, 1)]
+    return _aggregate(r, entries)
 
 
 def corollary_check(
@@ -277,9 +293,10 @@ def profile(code: LinearCode, r_cap: int | None = None) -> CodeProfile:
     r_cap = check_cap("r_cap", r_cap)
     d = code.min_distance()
     planner = QueryPlanner(code, r_cap)
-    pir = _pir(planner)
-    batch = _batch(planner)
-    info = _info_profile(planner) if code.is_systematic else None
+    packings = planner.packings()
+    pir = min(packings)
+    batch = _batch(planner, pir)
+    info = _info_profile(r_cap, packings) if code.is_systematic else None
     return CodeProfile(
         n=code.n,
         k=code.k,

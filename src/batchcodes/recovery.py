@@ -46,7 +46,12 @@ packing in one pass and returns it when the search's root cut already
 shows it is the maximum, which settles most lists before any bitset is
 built; otherwise it branches on them, a node's open sets being one
 integer, and builds a set's `meets` entry only when it first branches
-on that set.
+on that set. A caller may pass an upper bound on the packing, and the
+search returns as soon as a packing reaches it, after the greedy pass
+or inside the branching. The planner and the profiles pass the
+code's codeword-weight bounds (`LinearCode.packing_bounds`): a
+codeword with m_i = 1 has odd weight on every recovery set of e_i, so
+e_i has no more disjoint sets than the codeword has nonzero columns.
 
 Arguments go through the package's one integer rule (`errors.check_int`):
 an excluded column must be an integer in 1..n (DimensionError), and the
@@ -337,20 +342,25 @@ def _conflict_bitsets(masks: Sequence[int]) -> tuple[list[int], list[int]]:
     return touch, [_meets(touch, mask) for mask in masks]
 
 
-def max_disjoint_packing(masks: Sequence[int]) -> int:
+def max_disjoint_packing(masks: Sequence[int], bound: int | None = None) -> int:
     """Exact maximum number of pairwise-disjoint sets among `masks`
     (column bitmasks), by branch and bound over the sets in size order.
 
+    `bound`, when given, must be an upper bound on the answer, such as
+    the codeword-weight bounds of `LinearCode.packing_bounds`: the
+    search returns as soon as a packing reaches it (or takes every
+    set).
+
     The size-first greedy packing, taken in one pass, is the first
-    lower bound. It is the answer, and nothing is built, when it took
-    every set or when the greedy + 1 smallest sets need more columns
-    than the list touches: the search's cut at its root. Otherwise the
-    search starts from it. A node's open sets are a bitset `avail` over
-    the size order: the sets after the last one taken that miss every
-    taken set. Taking set i leaves open what was open after it and
-    misses it, `avail & ~meets[i]`, with `meets[i]` built from the
-    column bitsets (`_touch`, `_meets`) the first time branch i is
-    taken; `free` counts the columns no taken set has.
+    lower bound. It is the answer, and nothing is built, when it
+    reaches that limit or when the greedy + 1 smallest sets need more
+    columns than the list touches: the search's cut at its root.
+    Otherwise the search starts from it. A node's open sets are a
+    bitset `avail` over the size order: the sets after the last one
+    taken that miss every taken set. Taking set i leaves open what was
+    open after it and misses it, `avail & ~meets[i]`, with `meets[i]`
+    built from the column bitsets (`_touch`, `_meets`) the first time
+    branch i is taken; `free` counts the columns no taken set has.
     """
     # Size order is all the cut below needs: the result is exact
     # whatever the order of sets of equal size. The profiler's lists
@@ -364,16 +374,20 @@ def max_disjoint_packing(masks: Sequence[int]) -> int:
             used |= m
             best += 1
     free = cover.bit_count()
-    if best == len(items) or sum(sizes[: best + 1]) > free:
+    limit = len(items) if bound is None else min(bound, len(items))
+    if best >= limit or sum(sizes[: best + 1]) > free:
         return best
     touch = _touch(items)
     # meets[i] is 0 until branch i is first taken: a nonempty set meets itself.
     meets = [0] * len(items)
 
-    def dfs(avail: int, free: int, depth: int) -> None:
+    def dfs(avail: int, free: int, depth: int) -> bool:
+        # Returns True once the best packing reaches `limit`.
         nonlocal best
         if depth > best:
             best = depth
+            if best == limit:
+                return True
         while avail:
             # Beating `best` takes `need` more disjoint open sets. They
             # fit in the free columns only if the `need` smallest do,
@@ -394,7 +408,9 @@ def max_disjoint_packing(masks: Sequence[int]) -> int:
             hit = meets[i]
             if not hit:
                 hit = meets[i] = _meets(touch, items[i])
-            dfs(avail & ~hit, free - sizes[i], depth + 1)
+            if dfs(avail & ~hit, free - sizes[i], depth + 1):
+                return True
+        return False
 
     dfs((1 << len(items)) - 1, free, 0)
     return best

@@ -338,6 +338,36 @@ def test_batch_sweep_descends_below_pir():
     assert not ok and witness.indices == (2, 3)
 
 
+@settings(max_examples=100)
+@given(code=systematic_codes(), r=st.sampled_from([None, 1, 2, 3]))
+def test_systematic_codes_serve_every_query_up_to_the_floor(code, r):
+    """On a systematic code every query of t <= min(pir_t, 3) symbols
+    is servable, so `batch_t` returns such a pir_t without a sweep."""
+    sums = subset_sum_table(code)
+    for t in range(1, min(pir_t(code, r), 3) + 1):
+        assert reference_servable_all(code, t, r, sums) == (True, None), t
+
+
+def test_profile_sweeps_nothing_at_the_floor(monkeypatch):
+    """`subcube(2,2)` at r_cap=2 is systematic with pir_t = 3: its
+    profile reads batch_t = 3 off the floor and sweeps no query size;
+    at r_cap=3, pir_t = 4 takes one sweep."""
+    calls = []
+    real = QueryPlanner.servable_all
+
+    def counting(self, t):
+        calls.append(t)
+        return real(self, t)
+
+    monkeypatch.setattr(QueryPlanner, "servable_all", counting)
+    prof = profile(subcube(2, 2), r_cap=2)
+    assert (prof.systematic, prof.pir_t, prof.batch_t) == (True, 3, 3)
+    assert calls == []
+    prof = profile(subcube(2, 2), r_cap=3)
+    assert (prof.pir_t, prof.batch_t) == (4, 4)
+    assert calls == [4]
+
+
 @settings(max_examples=150)
 @given(
     code=st.one_of(small_codes(), symmetric_codes()),

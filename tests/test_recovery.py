@@ -34,6 +34,7 @@ from conftest import (
     live_columns,
     random_systematic,
     small_codes,
+    systematic_codes,
 )
 from oracles import (
     brute_max_packing,
@@ -309,6 +310,39 @@ def test_packing_matches_reference(masks):
     long for the brute-force oracle, on lists the greedy exit settles,
     and on lists where the search must beat the greedy packing."""
     assert max_disjoint_packing(masks) == reference_max_packing(masks)
+
+
+@settings(max_examples=120)
+@given(
+    code=systematic_codes() | small_codes(),
+    r=st.sampled_from([None, 1, 2, 3]),
+)
+# At cap 3 the size-first greedy packing leaves two lists one short of
+# their bound, which is their optimum, so the search is what reaches
+# it: e_2 packs 3 sets and the sets of column 4 that avoid it pack 2.
+@example(code=_code(4, [8, 11, 12, 2, 4, 10, 1]), r=3)
+def test_packing_bounds_are_sound(code, r):
+    """Every e_i list and every column list (the sets avoiding the
+    column) packs within its codeword-weight bound, and a packing
+    search given any bound at or above the optimum returns the
+    optimum."""
+    units, columns = code.packing_bounds
+    assert [b is None for b in columns] == [not w for w in code.column_words]
+    lists = [
+        (enumerate_recovery_sets(code, BitVector.unit(code.k, i), max_size=r), units[i - 1])
+        for i in range(1, code.k + 1)
+    ] + [
+        (enumerate_recovery_sets(code, code.column(j), excluded=[j], max_size=r), bound)
+        for j, bound in enumerate(columns, 1)
+        if bound is not None
+    ]
+    for enum, bound in lists:
+        masks = list(enum.masks)
+        best = brute_max_packing(masks)
+        assert best <= bound, (enum.target, bound)
+        assert reference_max_packing(masks) == best
+        for b in range(best, bound + 2):
+            assert max_disjoint_packing(masks, b) == best, (enum.target, b)
 
 
 @settings(max_examples=100)
