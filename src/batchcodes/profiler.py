@@ -17,11 +17,12 @@ repeats. A query of distinct symbols takes their identity columns. A
 query in which only symbol i repeats, a times, takes {sigma(j)} for
 each other symbol j; those t - a columns meet at most t - a of e_i's
 t disjoint recovery sets, so a of them are left for the copies of i.
-So `_batch` returns pir_t when it is at most the floor (3 on such a
-code, 1 otherwise); above it, it sweeps t = pir_t first, steps down
-only while a sweep fails, and returns the floor unswept when it gets
-there. Where batch_t equals pir_t, as it does for every named family,
-that is one sweep, or none.
+So `_batch` returns pir_t when it is at most the floor (`_batch_floor`:
+3 on such a code, 1 otherwise); above it, it sweeps t = pir_t first,
+steps down only while a sweep fails, and returns the floor unswept when
+it gets there. Where batch_t equals pir_t, as it does for every named
+family, that is one sweep, or none. The search's candidate test
+(`search._passes`) reads the same floor.
 
 A minimal recovery set of column j that avoids j is, together with j,
 a circuit of the generator's column matroid. The repair profiles read
@@ -136,13 +137,21 @@ def _pir(planner: QueryPlanner) -> int:
     return min(planner.packings())
 
 
+def _batch_floor(code: LinearCode) -> int:
+    """The floor below which batch_t = pir_t needs no sweep (module
+    docstring): every query of t <= min(pir_t, floor) symbols is
+    servable, with floor 3 on a code with every unit column and 1 on
+    any other."""
+    return 3 if code.is_systematic else 1
+
+
 def _batch(planner: QueryPlanner, pir: int) -> int:
-    """batch_t from the planner's pir_t: every t up to a floor is
-    servable by proof (module docstring), so pir_t at or below it is
-    the answer. Above it, sweep t = pir_t first and step down while a
-    sweep fails; since servability is monotone in t, the first t that
-    passes is batch_t, and reaching the floor ends the steps."""
-    low = 3 if planner.code.is_systematic else 1
+    """batch_t from the planner's pir_t: every t up to the floor is
+    servable by proof, so pir_t at or below it is the answer. Above it,
+    sweep t = pir_t first and step down while a sweep fails; since
+    servability is monotone in t, the first t that passes is batch_t,
+    and reaching the floor ends the steps."""
+    low = _batch_floor(planner.code)
     t = pir
     while t > low and not planner.servable_all(t)[0]:
         t -= 1

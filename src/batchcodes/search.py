@@ -44,6 +44,7 @@ from .constructions import _code_from_columns
 from .errors import CapacityError, check_cap, check_int
 from .gf2 import LinearCode, _reverse_bits
 from .planner import QueryPlanner
+from .profiler import _batch_floor
 
 __all__ = ["SearchResult", "min_length", "redundancy_table"]
 
@@ -200,11 +201,13 @@ def _systematic_candidate(k: int, parity_values: tuple[int, ...]) -> LinearCode:
 def _passes(code: LinearCode, t: int, mode: str, r_cap: int | None) -> bool:
     planner = QueryPlanner(code, r_cap)
     # Packing per symbol decides uniform queries; it is also a cheap
-    # necessary condition before the full multiset sweep.
+    # necessary condition before the full multiset sweep, which a t at
+    # or below the batch floor of a candidate (always systematic) does
+    # not need once every packing reaches t.
     for i in range(1, code.k + 1):
         if planner.max_packing(i) < t:
             return False
-    if mode == "pir":
+    if mode == "pir" or t <= _batch_floor(code):
         return True
     return planner.servable_all(t)[0]
 

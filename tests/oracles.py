@@ -4,6 +4,8 @@ Everything here favors obviousness over speed and shares no code with
 the package internals: subset sums come from a full 2^n table, planning
 searches all recovery sets (not only minimal ones), packing is plain
 recursion, and the distance oracle evaluates every dot product directly.
+`gray_min_distance` is the package's earlier Gray-code distance loop,
+for k too large for the dot-product oracle.
 `reference_max_packing` is the package's earlier list-based packing
 search, for lists too long for plain recursion.
 `reference_plan` is the one search over minimal sets only: it follows
@@ -354,4 +356,20 @@ def brute_min_distance(code: LinearCode) -> int:
                 parity ^= b & (col >> i) & 1
             weight += parity
         best = min(best, weight)
+    return best
+
+
+def gray_min_distance(code: LinearCode) -> int:
+    """Minimum nonzero codeword weight by Gray-code enumeration of all
+    2^k - 1 nonzero messages, one row added per step."""
+    rows = code.generator.row_words
+    word = 0
+    best = code.n + 1
+    for step in range(1, 1 << code.k):
+        word ^= rows[(step & -step).bit_length() - 1]
+        w = word.bit_count()
+        if w < best:
+            best = w
+            if best == 1:
+                break
     return best

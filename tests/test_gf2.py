@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from batchcodes import (
     BitMatrix,
@@ -18,8 +20,9 @@ from batchcodes import (
     rank,
     reverse_bits,
 )
-from conftest import random_systematic
-from oracles import brute_min_distance
+from batchcodes.gf2 import _TABLE_ROWS
+from conftest import column_matrix, random_systematic
+from oracles import brute_min_distance, gray_min_distance
 
 
 def test_reverse_bits():
@@ -32,6 +35,30 @@ def test_reverse_bits():
         width = rng.randint(1, 12)
         word = rng.getrandbits(width)
         assert reverse_bits(reverse_bits(word, width), width) == word
+
+
+# Rows e_i + e_n for i = 1..a + 1, where a = _TABLE_ROWS and n = a + 2.
+SPIKE_ROWS = tuple(1 << _TABLE_ROWS + 1 | 1 << i for i in range(_TABLE_ROWS + 1))
+SPIKED_ROW = SPIKE_ROWS[0] | SPIKE_ROWS[-1]
+
+
+@st.composite
+def distance_codes(draw):
+    """Full-rank generators with k from 1 to _TABLE_ROWS + 4, so that
+    `min_distance` tabulates all rows or leaves 1 to 4 of them to its
+    Gray-code loop. The columns hold the k unit columns at random
+    positions and any others, zero and repeated ones included; random
+    row additions then hide the identity, so a weight-1 row or a
+    weight-1 codeword may fall in either block."""
+    k = draw(st.integers(1, _TABLE_ROWS + 4))
+    extra = draw(st.lists(st.integers(0, (1 << k) - 1), max_size=12))
+    columns = draw(st.permutations([1 << i for i in range(k)] + extra))
+    rows = list(column_matrix(k, columns).row_words)
+    pair = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+    for i, j in draw(st.lists(pair, max_size=3 * k)):
+        if i != j:
+            rows[i] ^= rows[j]
+    return LinearCode(BitMatrix(len(columns), tuple(rows)))
 
 
 class TestBitVector:
@@ -244,6 +271,24 @@ class TestLinearCode:
         rng = random.Random(16)
         for _ in range(25):
             code = random_systematic(rng)
+            assert code.min_distance() == brute_min_distance(code)
+
+    @settings(max_examples=200)
+    @given(code=distance_codes())
+    # SPIKE_ROWS with e_(a+1) added to row 1 in the first code and e_1
+    # to row a + 1 in the second. The table's lightest words weigh 2,
+    # and the one word of weight 1 is row 1 + row a + 1: the high row
+    # pairs with a table word one heavier, on the upper edge of the
+    # weight window, or one lighter, on its lower edge.
+    @example(
+        code=LinearCode(BitMatrix(_TABLE_ROWS + 2, (SPIKED_ROW, *SPIKE_ROWS[1:])))
+    )
+    @example(
+        code=LinearCode(BitMatrix(_TABLE_ROWS + 2, (*SPIKE_ROWS[:-1], SPIKED_ROW)))
+    )
+    def test_min_distance_matches_gray_loop(self, code):
+        assert code.min_distance() == gray_min_distance(code)
+        if code.k <= 6:
             assert code.min_distance() == brute_min_distance(code)
 
     def test_min_distance_guard(self):

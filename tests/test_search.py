@@ -8,6 +8,7 @@ import pytest
 import batchcodes.search as search_module
 from batchcodes import (
     CapacityError,
+    QueryPlanner,
     batch_t,
     min_length,
     pir_t,
@@ -183,6 +184,23 @@ class TestMinLength:
         assert not res.found
         assert res.nodes_explored == nodes
         assert len(calls) == tested
+
+    @pytest.mark.parametrize("t, swept", [(1, False), (2, False), (3, False), (4, True)])
+    def test_batch_floor_skips_the_sweep(self, monkeypatch, t, swept):
+        # Every candidate is systematic and has passed its packings, so
+        # the batch floor of 3 settles t <= 3 without a sweep.
+        calls = []
+        real = QueryPlanner.servable_all
+
+        def counting(self, t):
+            calls.append(t)
+            return real(self, t)
+
+        monkeypatch.setattr(QueryPlanner, "servable_all", counting)
+        res = min_length(3, t)
+        assert res.found
+        assert bool(calls) == swept
+        assert set(calls) <= {t}
 
 
 def filter_accepts(k: int, t: int, n_max: int, parity_values: tuple[int, ...]) -> bool:
