@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from . import constructions
 from .bounds import evaluate_bounds
@@ -48,7 +47,8 @@ def _read_code(path: str) -> LinearCode:
     if path == "-":
         text = sys.stdin.read()
     else:
-        text = Path(path).read_text()
+        with open(path) as f:
+            text = f.read()
     return LinearCode(parse_matrix(text))
 
 

@@ -286,24 +286,26 @@ def _parse_body(
     words: list[int] = []
     width = n
     for no, line in entries:
-        word = 0
-        count = 0
-        for col, ch in enumerate(line, 1):
-            if ch in " \t":
-                continue
-            if ch not in "01":
-                raise MatrixParseError(
-                    f"invalid character {ch!r} in matrix row", line=no, column=col
-                )
-            word |= (ch == "1") << count
-            count += 1
+        bits = line.replace(" ", "").replace("\t", "")
+        # Valid exactly when stripping 0s and 1s from both ends leaves
+        # nothing: `int` alone would also take "_", a sign or another
+        # script's digits.
+        if bits.strip("01"):
+            col, ch = next(
+                (col, ch) for col, ch in enumerate(line, 1) if ch not in _ROW_CHARS
+            )
+            raise MatrixParseError(
+                f"invalid character {ch!r} in matrix row", line=no, column=col
+            )
+        count = len(bits)
         if width is None:
             width = count
         elif count != width:
             raise MatrixParseError(
                 f"row has {count} columns, expected {width}", line=no
             )
-        words.append(word)
+        # The row's first bit is the word's lowest.
+        words.append(int(bits[::-1], 2))
     assert width is not None
     if width == 0:
         raise MatrixParseError("matrix rows are empty", line=entries[0][0])

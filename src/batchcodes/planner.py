@@ -152,9 +152,45 @@ class _Candidates(RecoveryEnumeration):
     @cached_property
     def by_size(self) -> "_Candidates":
         """The same list stably sorted by set size: sets of equal size
-        stay in this list's order."""
+        stay in this list's order, lexicographic for a list
+        `enumerate_recovery_sets` found."""
         masks = tuple(sorted(self.masks, key=int.bit_count))
         return _Candidates(self.target, masks, self.truncated)
+
+
+class _StoreList(_Candidates):
+    """A complete list that `QueryPlanner.packings` read off the code's
+    circuit store: {sigma(i)}, then the store's circuits through
+    sigma(i) less sigma(i), in the store's order, which is by size. The
+    packing search and the batch sweep read it in this order. The
+    planner puts it in lexicographic order (`_lexicographic`), as a new
+    record that replaces this one, the first time its candidates or
+    plans read it (`QueryPlanner._ordered`).
+    """
+
+    @cached_property
+    def by_size(self) -> _Candidates:
+        """The same masks as a record of the size-ordered view: they
+        are in size order already."""
+        return _Candidates(self.target, self.masks, self.truncated)
+
+
+def _lexicographic(masks: Sequence[int], n: int) -> tuple[int, ...]:
+    """Column masks over n columns, none of which contains another (the
+    minimal recovery sets of one target), in lexicographic order of
+    their sorted column tuples.
+
+    Of two such sets, the one holding the lowest column in which they
+    differ comes first in lexicographic order: the other shares every
+    column below it and, not being a subset, has a larger one next. A
+    mask's little-endian bytes, each bit-reversed, put columns 1, 2,
+    ... from the most significant bit of the first byte on, so that
+    column is the first differing bit and the order is descending order
+    of those bytes, a sort key built in C.
+    """
+    to_bytes = partial(int.to_bytes, length=(n + 7) // 8, byteorder="little")
+    keys = map(bytes.translate, map(to_bytes, masks), repeat(_REVERSED_BYTES))
+    return tuple(m for _, m in sorted(zip(keys, masks), reverse=True))
 
 
 class QueryPlanner:
@@ -171,10 +207,16 @@ class QueryPlanner:
     list's conflict bitsets, with which the plan search tests
     disjointness in a few integer operations per node instead of a
     scan (made from `recovery._conflict_bitsets`, the representation
-    the packing search runs on too), and its copy sorted by size for
+    the packing search runs on too), and its view sorted by size for
     the batch sweep. A list enumerated again is a new record, so
     neither can outlive the list it was built from. Packing numbers
     are computed from a symbol's complete list on each request.
+
+    A list enumerated per symbol is in lexicographic order. A list that
+    `packings` reads off the circuit store is in the store's size order
+    (`_StoreList`), which is all the packings and the batch sweep need;
+    the first read of it in order, by `candidates` or a plan search,
+    replaces its record with the lexicographic one (`_ordered`).
     """
 
     def __init__(self, code: LinearCode, r: int | None = None):
@@ -194,7 +236,8 @@ class QueryPlanner:
     def candidates(self, symbol: int) -> tuple[RecoverySet, ...]:
         """Complete list of minimal recovery sets for e_symbol within the cap."""
         symbol = check_int("symbol", symbol, most=self._code.k, error=InvalidQueryError)
-        return self._list(symbol, None).sets
+        self._list(symbol, None)
+        return self._ordered(symbol).sets
 
     def max_packing(self, symbol: int) -> int:
         """Exact maximum number of pairwise-disjoint recovery sets for e_symbol."""
@@ -212,9 +255,13 @@ class QueryPlanner:
         repair profiles and every other planner of the code; it
         searches only when r exceeds its size. A minimal set of e_i
         either is the identity column sigma(i) alone or avoids it, so
-        each list is e_i's sets from the store plus {sigma(i)}, put in
-        lexicographic order: the list `candidates` returns. Without
-        every unit column, each symbol is enumerated on its own.
+        each list is {sigma(i)} followed by e_i's sets from the store,
+        in the store's order, which is by size (`_StoreList`). Neither
+        the packings nor the batch sweep depends on list order, so the
+        lists stay in that order until `candidates` or `serve` reads
+        one; only then is it sorted into the lexicographic order those
+        return. Without every unit column, each symbol is enumerated on
+        its own, in lexicographic order.
 
         Each packing search is given e_i's codeword-weight bound
         (`LinearCode.packing_bounds`) and stops once a packing reaches
@@ -229,24 +276,9 @@ class QueryPlanner:
         ]
         if colmap is not None and stale:
             found = circuit_sets(code, list(colmap.values()), self._r)
-            # No set of one list contains another. Of two such sets, the
-            # one holding the lowest column in which they differ comes
-            # first in lexicographic order: the other shares every
-            # column below it and, not being a subset, has a larger one
-            # next. A mask's little-endian bytes, each bit-reversed,
-            # put columns 1, 2, ... from the most significant bit of the
-            # first byte on, so that column is the first differing bit
-            # and the order is descending order of those bytes.
-            to_bytes = partial(
-                int.to_bytes, length=(code.n + 7) // 8, byteorder="little"
-            )
             for sym in stale:
-                masks = found[sym - 1] + [1 << (colmap[sym] - 1)]
-                keys = map(bytes.translate, map(to_bytes, masks), repeat(_REVERSED_BYTES))
-                order = sorted(zip(keys, masks), reverse=True)
-                lists[sym] = _Candidates(
-                    BitVector.unit(k, sym), tuple(m for _, m in order), False
-                )
+                masks = (1 << (colmap[sym] - 1), *found[sym - 1])
+                lists[sym] = _StoreList(BitVector.unit(k, sym), masks, False)
         units, _ = code.packing_bounds
         return tuple(
             max_disjoint_packing(self._list(sym, None).masks, units[sym - 1])
@@ -263,7 +295,8 @@ class QueryPlanner:
         `packings` or `servable_all` (which complete lists) or by
         earlier queries may return a different valid plan than a fresh
         one. Only the verdict is independent of that history. The lists
-        themselves are always in lexicographic order.
+        a plan is searched on are always in lexicographic order
+        (`_ordered`).
         """
         q = query if isinstance(query, Query) else Query(tuple(query))
         q.check_within(self._code.k)
@@ -343,8 +376,8 @@ class QueryPlanner:
         List order cannot change a verdict: the search returns None only
         after ruling out every disjoint choice of candidates, whatever
         their order, and with complete lists no cap doubling is left to
-        try. This planner's own lists are left in lexicographic order,
-        and `serve` keeps its plans.
+        try. This planner's own lists are left as they were, and `serve`
+        keeps its plans.
         """
         t = check_int("t", t)
         view = self._size_ordered()
@@ -401,8 +434,10 @@ class QueryPlanner:
 
     def _size_ordered(self) -> "QueryPlanner":
         """A planner for the same code and cap whose candidate lists are
-        the `by_size` copies of this planner's complete lists (sets of
-        equal size stay in lexicographic order).
+        the `by_size` views of this planner's complete lists. A list
+        read off the circuit store is in size order already and is
+        viewed as it is; any other is copied, stably sorted by size, so
+        sets of equal size stay in lexicographic order.
 
         The view enumerates nothing itself, and its lists, with their
         conflict tables, are kept on this planner's records, so every
@@ -416,7 +451,9 @@ class QueryPlanner:
 
     def _list(self, symbol: int, cap: int | None) -> _Candidates:
         """The record of `symbol`, an integer in 1..k, enumerated anew at
-        `cap` unless the current list already serves it."""
+        `cap` unless the current list already serves it. A complete list
+        from `packings` comes back in the store's order; `_ordered`
+        gives the lexicographic one."""
         # A cut list holds exactly the cap it was enumerated at.
         known = self._lists.get(symbol)
         if known is not None and (
@@ -431,6 +468,16 @@ class QueryPlanner:
         )
         known = _Candidates(found.target, found.masks, found.truncated)
         self._lists[symbol] = known
+        return known
+
+    def _ordered(self, symbol: int) -> _Candidates:
+        """The current record of `symbol`, in lexicographic order: a list
+        read off the circuit store is sorted now and its record
+        replaced, so it is sorted once, and only when read in order."""
+        known = self._lists[symbol]
+        if type(known) is _StoreList:
+            masks = _lexicographic(known.masks, self._code.n)
+            known = self._lists[symbol] = _Candidates(known.target, masks, False)
         return known
 
     def _search(self, groups: Sequence[tuple[int, int]]) -> dict[int, list[int]] | None:
@@ -474,9 +521,9 @@ class QueryPlanner:
         order = sorted(groups, key=lambda g: (len(self._lists[g[0]]), g[0]))
         infos = []
         for sym, cnt in order:
-            cands = self._lists[sym]
-            if len(cands) < cnt:
+            if len(self._lists[sym]) < cnt:
                 return None
+            cands = self._ordered(sym)
             infos.append((cnt, cands.masks, *cands.conflicts))
         last = len(infos)
         # picks[gi]: group gi's candidate indices, appended deepest first

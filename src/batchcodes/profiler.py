@@ -39,11 +39,14 @@ The PIR packings and the information-symbol entries of `profile` are
 read off the query planner that serves its batch sweeps, once per
 profile. On a code with every unit column, `QueryPlanner.packings`
 reads all k complete lists from the circuit store over the identity
-columns. Each batch sweep tests one query per orbit of interchangeable
-symbols, and serves most of them by extending the previous query's
-plan (`QueryPlanner.servable_all`). Every packing of the planner and
-of the repair profiles is given its codeword-weight bound
-(`LinearCode.packing_bounds`) and stops once it reaches it.
+columns, in the store's size order. Neither the packings nor the batch
+sweeps depend on list order, so `profile` reads the lists in that
+order and never sorts one into the lexicographic order of the
+planner's plans. Each batch sweep tests one query per orbit of
+interchangeable symbols, and serves most of them by extending the
+previous query's plan (`QueryPlanner.servable_all`). Every packing of
+the planner and of the repair profiles is given its codeword-weight
+bound (`LinearCode.packing_bounds`) and stops once it reaches it.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ columns, which `circuit_sets` replaces whole: only a request for a
 larger size searches, filling the tuple in one sweep of the columns
 in index order, and each circuit is enumerated once, from its lowest
 column. The repair profiles and the planner's complete unit-vector
-lists read it.
+lists read it, in the store's size order.
 
 Sets stay column masks, as the search finds them, until a caller asks
 for `RecoverySet`s: `RecoveryEnumeration.sets` decodes its masks the
@@ -103,8 +103,10 @@ class RecoveryEnumeration:
 
     `masks` are the sets' column masks (bit j-1 for column j), in the
     order of whoever built the record: lexicographic order of their
-    sorted column tuples from `enumerate_recovery_sets` and
-    `QueryPlanner.packings`, by size in the copies the planner keeps
+    sorted column tuples from `enumerate_recovery_sets`; the circuit
+    store's order, which is by size, in the lists `QueryPlanner.packings`
+    reads off the store, until the planner's plans or candidates need
+    them in lexicographic order; by size in the views the planner keeps
     with its lists for the batch sweep. `truncated` means more sets exist
     beyond the count cap. `sets` holds the same sets as `RecoverySet`s,
     in the same order, decoded on first read; iteration runs over
@@ -363,8 +365,9 @@ def max_disjoint_packing(masks: Sequence[int], bound: int | None = None) -> int:
     branch i is taken; `free` counts the columns no taken set has.
     """
     # Size order is all the cut below needs: the result is exact
-    # whatever the order of sets of equal size. The profiler's lists
-    # arrive in size order from the circuit store, and sort at once.
+    # whatever the order of sets of equal size. The lists read off the
+    # circuit store, the profiles' and the planner's, arrive in size
+    # order and sort at once.
     items = sorted((m for m in masks if m), key=int.bit_count)
     sizes = [m.bit_count() for m in items]
     best = used = cover = 0

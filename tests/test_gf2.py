@@ -198,6 +198,32 @@ class TestParseFormat:
         m = parse_matrix("1 1\n0 1\n")
         assert (m.k, m.n) == (2, 2)
 
+    def test_tab_and_space_separated_bits(self):
+        m = parse_matrix("2 4\n1\t0 1\t\t1\n 0 \t1\t0 0\t\n")
+        assert (m.k, m.n) == (2, 4)
+        assert m.row_words == (0b1101, 0b0010)
+        assert parse_matrix("1\t1 0\n0\t0 1\n").row_words == (0b011, 0b100)
+
+    @pytest.mark.parametrize(
+        "text, line, column, char",
+        [
+            ("2 3\n1 0 1\n0  1 x\n", 3, 6, "x"),
+            ("1 0\t 2 1\n", 1, 6, "2"),
+            ("101\n \t 1_0 1\n", 2, 5, "_"),
+            ("101\n0 1 -1\n", 2, 5, "-"),
+            ("101\n0 1 1 \u0661\n", 2, 7, "\u0661"),
+            ("101\n0 1 1\u00a0\n", 2, 6, "\u00a0"),
+        ],
+    )
+    def test_bad_character_after_separators(self, text, line, column, char):
+        # The column counts every character of the line, separators
+        # included. "_", a sign and another script's digit are rejected,
+        # although `int` would read them.
+        with pytest.raises(MatrixParseError) as exc:
+            parse_matrix(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert repr(char) in str(exc.value)
+
     def test_header_row_count_mismatch(self):
         with pytest.raises(MatrixParseError):
             parse_matrix("3 3\n101\n011\n")

@@ -27,6 +27,7 @@ from batchcodes import (
     max_disjoint_packing,
     paired_parity,
     plan_is_valid,
+    profile,
     recovery,
     serve_query,
     simplex,
@@ -583,6 +584,82 @@ class TestPackings:
         lengths = [len(planner.candidates(i)) for i in range(1, 6)]
         assert lengths == [3, 3, 3, 3, 243]
         assert calls == [(0, None, count) for count in lengths]
+
+    @pytest.mark.parametrize(
+        "code, r",
+        [
+            (simplex(4), None),
+            (subcube(2, 2), 3),
+            (LinearCode(column_matrix(3, [6, 4, 0, 1, 7, 2, 1, 3])), None),
+        ],
+    )
+    def test_lists_sorted_once_when_read_in_order(self, code, r, monkeypatch):
+        # `packings` keeps the store's size order. `candidates` and
+        # `serve` then return the lists and plans of a planner warmed
+        # symbol by symbol, with no search of their own, and each list
+        # is sorted into lexicographic order once.
+        warm = QueryPlanner(code, r)
+        for i in range(1, code.k + 1):
+            warm.candidates(i)
+        planner = QueryPlanner(code, r)
+        planner.packings()
+        for i in range(1, code.k + 1):
+            sizes = [m.bit_count() for m in planner._list(i, None).masks]
+            assert sizes == sorted(sizes), i
+        calls: list = []
+        monkeypatch.setattr(recovery, "minimal_set_masks", counting_searches(calls))
+        sorted_lists: list = []
+        lexicographic = planner_module._lexicographic
+
+        def counting(masks, n):
+            sorted_lists.append(len(masks))
+            return lexicographic(masks, n)
+
+        monkeypatch.setattr(planner_module, "_lexicographic", counting)
+        queries = [(1,) * 3, tuple(range(1, code.k + 1)), (1, 1, 2, 2, 3)]
+        for indices in queries:
+            assert str(planner.serve(indices)) == str(warm.serve(indices)), indices
+        for i in range(1, code.k + 1):
+            assert planner.candidates(i) == warm.candidates(i), i
+        assert calls == []
+        lengths = [len(warm.candidates(i)) for i in range(1, code.k + 1)]
+        assert sorted(sorted_lists) == sorted(lengths)
+
+    def test_profile_never_sorts_lexicographically(self, corpus, monkeypatch):
+        # `profile` packs and sweeps the store-ordered lists as they are.
+        def refuse(masks, n):
+            raise AssertionError("lexicographic order built")
+
+        monkeypatch.setattr(planner_module, "_lexicographic", refuse)
+        rng = random.Random(30)
+        codes = [code for _, code in corpus if code.is_systematic]
+        codes += [random_systematic(rng, k_max=7, n_max=17) for _ in range(20)]
+        for code in codes:
+            for r in (None, 2, 3):
+                profile(code, r)
+        planner = QueryPlanner(simplex(3))
+        planner.packings()
+        with pytest.raises(AssertionError, match="lexicographic order built"):
+            planner.candidates(1)
+
+
+@settings(max_examples=150)
+@given(
+    code=systematic_codes(k_max=4, n_max=10),
+    r=st.sampled_from([None, 1, 2]),
+)
+# A repeated unit column: two sets of size 1 for e_1.
+@example(code=LinearCode(column_matrix(3, [6, 4, 0, 1, 7, 2, 1, 3])), r=None)
+def test_sweep_on_store_lists_matches_reference(code, r):
+    """After `packings`, the sweep runs on the store-ordered lists and
+    gives the verdict and witness of the full brute-force sweep."""
+    sums = subset_sum_table(code)
+    planner = QueryPlanner(code, r)
+    planner.packings()
+    for t in range(1, 5):
+        ok, witness = planner.servable_all(t)
+        got = (ok, None if witness is None else witness.indices)
+        assert got == reference_servable_all(code, t, r, sums), t
 
 
 @settings(max_examples=150)

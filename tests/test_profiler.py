@@ -13,6 +13,7 @@ import batchcodes.planner as planner_module
 import batchcodes.profiler as profiler_module
 from batchcodes import (
     BitMatrix,
+    BitVector,
     CapacityError,
     LinearCode,
     NotSystematicError,
@@ -21,8 +22,10 @@ from batchcodes import (
     batch_t,
     build_report,
     corollary_check,
+    enumerate_recovery_sets,
     info_lrc_profile,
     lrc_profile,
+    max_disjoint_packing,
     min_length,
     paired_parity,
     pir_t,
@@ -429,6 +432,59 @@ def test_profiles_match_reference(code, r):
     strict = [(i, w, frozenset((colmap[i],))) for i, w, _ in units]
     want = reference_lrc_profile(code, strict, r, sums)
     assert _as_tuple(info_lrc_profile(code, r, include_self=False)) == want
+
+
+def enumerated_lrc_profile(code: LinearCode, targets, cap: int | None) -> tuple:
+    """`reference_lrc_profile` with each target's sets from its own
+    `enumerate_recovery_sets` call instead of the brute-force table, and
+    each list packed by an unbounded `max_disjoint_packing`: no circuit
+    store, no planner and no codeword-weight bound, for codes past the
+    oracles' reach."""
+    symbols = []
+    for index, word, excluded in targets:
+        if word == 0:
+            symbols.append((index, 0, None))
+            continue
+        target = BitVector(code.k, word)
+        masks = enumerate_recovery_sets(code, target, excluded).masks
+        min_size = min((m.bit_count() for m in masks), default=None)
+        fit = [m for m in masks if cap is None or m.bit_count() <= cap]
+        symbols.append((index, min_size, max_disjoint_packing(fit)))
+    sizes = [s[1] for s in symbols]
+    locality = None if None in sizes else max(sizes, default=0)
+    packings = [s[2] for s in symbols if s[2] is not None]
+    return cap, locality, min(packings, default=0), tuple(symbols)
+
+
+@st.composite
+def analyze_codes(draw):
+    """Codes like the analyze benchmark's random ones: every unit column,
+    k from 4 to 7 and n <= 2k + 3, the unit columns at random positions
+    among others that may be zero or repeat any column."""
+    k = draw(st.integers(4, 7))
+    extra = draw(st.lists(st.integers(0, (1 << k) - 1), max_size=k + 3))
+    columns = draw(st.permutations([1 << i for i in range(k)] + extra))
+    return _code(k, columns)
+
+
+@settings(max_examples=200)
+@given(code=analyze_codes(), r=st.sampled_from([None, 2, 3]))
+# Unit column e_1 twice, so that e_1 has two recovery sets of size 1.
+@example(code=_code(4, [1, 2, 4, 8, 1, 3, 12, 15]), r=None)
+@example(code=_code(4, [1, 2, 4, 8, 1, 3, 12, 15]), r=2)
+def test_profile_matches_enumerated_reference(code, r):
+    """`profile`, which reads its lists off the circuit store in store
+    order, gives pir_t and both repair profiles of a reference built
+    from per-target enumerations, on codes too large for the
+    brute-force oracles."""
+    every = [(j, w, (j,)) for j, w in enumerate(code.column_words, 1)]
+    units = [(i, 1 << (i - 1), ()) for i in range(1, code.k + 1)]
+    locality = enumerated_lrc_profile(code, every, None)[1]
+    info = enumerated_lrc_profile(code, units, r)
+    prof = profile(code, r)
+    assert prof.pir_t == info[2]
+    assert _as_tuple(prof.all_symbol) == enumerated_lrc_profile(code, every, locality)
+    assert _as_tuple(prof.info_symbol) == info
 
 
 @pytest.mark.parametrize(
