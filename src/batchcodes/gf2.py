@@ -139,8 +139,11 @@ class BitMatrix:
     def __post_init__(self):
         n = check_int("column count", self.n, error=DimensionError)
         most = (1 << n) - 1
+        # The row's name is built only for a row that needs the check.
         rows = tuple(
-            check_int(f"row {i} word", w, least=0, most=most, error=DimensionError)
+            w
+            if type(w) is int and 0 <= w <= most
+            else check_int(f"row {i} word", w, least=0, most=most, error=DimensionError)
             for i, w in enumerate(self.row_words, 1)
         )
         if not rows:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import combinations_with_replacement, repeat
+from functools import cached_property
+from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
 from .errors import InvalidQueryError, check_cap, check_int
@@ -45,8 +45,6 @@ _INITIAL_CAP = 64
 # query can fail in tens of thousands of distinct states; the first few
 # hundred recorded already skip most repeats, at a fixed memory cost.
 _MEMO_LIMIT = 256
-# Each byte value with its 8 bits in reverse order.
-_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -149,80 +147,37 @@ class _Candidates(RecoveryEnumeration):
             nibbles.append(nib)
         return (1 << len(self.masks)) - 1, meets, nibbles
 
-    @cached_property
-    def by_size(self) -> "_Candidates":
-        """The same list stably sorted by set size: sets of equal size
-        stay in this list's order, lexicographic for a list
-        `enumerate_recovery_sets` found."""
-        masks = tuple(sorted(self.masks, key=int.bit_count))
-        return _Candidates(self.target, masks, self.truncated)
-
-
-class _StoreList(_Candidates):
-    """A complete list that `QueryPlanner.packings` read off the code's
-    circuit store: {sigma(i)}, then the store's circuits through
-    sigma(i) less sigma(i), in the store's order, which is by size. The
-    packing search and the batch sweep read it in this order. The
-    planner puts it in lexicographic order (`_lexicographic`), as a new
-    record that replaces this one, the first time its candidates or
-    plans read it (`QueryPlanner._ordered`).
-    """
-
-    @cached_property
-    def by_size(self) -> _Candidates:
-        """The same masks as a record of the size-ordered view: they
-        are in size order already."""
-        return _Candidates(self.target, self.masks, self.truncated)
-
-
-def _lexicographic(masks: Sequence[int], n: int) -> tuple[int, ...]:
-    """Column masks over n columns, none of which contains another (the
-    minimal recovery sets of one target), in lexicographic order of
-    their sorted column tuples.
-
-    Of two such sets, the one holding the lowest column in which they
-    differ comes first in lexicographic order: the other shares every
-    column below it and, not being a subset, has a larger one next. A
-    mask's little-endian bytes, each bit-reversed, put columns 1, 2,
-    ... from the most significant bit of the first byte on, so that
-    column is the first differing bit and the order is descending order
-    of those bytes, a sort key built in C.
-    """
-    to_bytes = partial(int.to_bytes, length=(n + 7) // 8, byteorder="little")
-    keys = map(bytes.translate, map(to_bytes, masks), repeat(_REVERSED_BYTES))
-    return tuple(m for _, m in sorted(zip(keys, masks), reverse=True))
-
 
 class QueryPlanner:
     """Plan searcher for one code and one recovery-set size cap.
 
-    Candidate recovery sets are enumerated per symbol on demand, or
-    for all symbols at once by `packings`, and reused across queries
-    and packings, so sweeping all queries of a given size
-    shares the expensive enumeration work. Each symbol has one record
-    of its current list (`_Candidates`, a `RecoveryEnumeration`): a
-    list is cut exactly when it is `truncated`, and its `RecoverySet`s
-    are decoded only when a plan or `candidates` returns them. The
-    record also carries, each built on first read from its masks, the
-    list's conflict bitsets, with which the plan search tests
-    disjointness in a few integer operations per node instead of a
-    scan (made from `recovery._conflict_bitsets`, the representation
-    the packing search runs on too), and its view sorted by size for
-    the batch sweep. A list enumerated again is a new record, so
-    neither can outlive the list it was built from. Packing numbers
-    are computed from a symbol's complete list on each request.
+    Candidate recovery sets are enumerated per symbol on demand and
+    reused across queries and packings, so sweeping all queries of a
+    given size shares the expensive enumeration work. Each symbol has
+    one record of its current list (`_Candidates`, a
+    `RecoveryEnumeration`): a list is cut exactly when it is
+    `truncated`, and its `RecoverySet`s are decoded only when a plan or
+    `candidates` returns them. The record also carries the list's
+    conflict bitsets, built on first read from its masks, with which
+    the plan search tests disjointness in a few integer operations per
+    node instead of a scan (made from `recovery._conflict_bitsets`, the
+    representation the packing search runs on too). A list enumerated
+    again is a new record, so no table outlives the list it was built
+    from.
 
-    A list enumerated per symbol is in lexicographic order. A list that
-    `packings` reads off the circuit store is in the store's size order
-    (`_StoreList`), which is all the packings and the batch sweep need;
-    the first read of it in order, by `candidates` or a plan search,
-    replaces its record with the lexicographic one (`_ordered`).
+    The planner keeps each list in one of two orders, each in its own
+    dict. `_lists` holds the per-symbol enumerations, in lexicographic
+    order, which `serve`, `candidates` and `max_packing` read. `_sized`
+    holds every symbol's complete list in size order, which `packings`
+    and the batch sweep read; it is filled once, for all symbols
+    together (`_sized_lists`).
     """
 
     def __init__(self, code: LinearCode, r: int | None = None):
         self._code = code
         self._r = check_cap("r", r)
         self._lists: dict[int, _Candidates] = {}
+        self._sized: dict[int, _Candidates] = {}
         self._classes: tuple[tuple[int, ...], ...] | None = None
 
     @property
@@ -236,8 +191,7 @@ class QueryPlanner:
     def candidates(self, symbol: int) -> tuple[RecoverySet, ...]:
         """Complete list of minimal recovery sets for e_symbol within the cap."""
         symbol = check_int("symbol", symbol, most=self._code.k, error=InvalidQueryError)
-        self._list(symbol, None)
-        return self._ordered(symbol).sets
+        return self._list(symbol, None).sets
 
     def max_packing(self, symbol: int) -> int:
         """Exact maximum number of pairwise-disjoint recovery sets for e_symbol."""
@@ -245,44 +199,20 @@ class QueryPlanner:
         return max_disjoint_packing(self._list(symbol, None).masks)
 
     def packings(self) -> tuple[int, ...]:
-        """`max_packing` of every symbol 1..k, in order.
-
-        When the code has every unit column, the complete lists of all
-        symbols are read at cap r from the code's circuit store over
-        the identity columns (`recovery.circuit_sets`). The store holds
-        every circuit of the code up to its size, each found once
-        however many identity columns it holds, and is shared with the
-        repair profiles and every other planner of the code; it
-        searches only when r exceeds its size. A minimal set of e_i
-        either is the identity column sigma(i) alone or avoids it, so
-        each list is {sigma(i)} followed by e_i's sets from the store,
-        in the store's order, which is by size (`_StoreList`). Neither
-        the packings nor the batch sweep depends on list order, so the
-        lists stay in that order until `candidates` or `serve` reads
-        one; only then is it sorted into the lexicographic order those
-        return. Without every unit column, each symbol is enumerated on
-        its own, in lexicographic order.
+        """`max_packing` of every symbol 1..k, in order, packed from the
+        size-ordered complete lists (`_sized_lists`) that the batch
+        sweep reads too: a packing number does not depend on list
+        order.
 
         Each packing search is given e_i's codeword-weight bound
         (`LinearCode.packing_bounds`) and stops once a packing reaches
         it.
         """
-        code = self._code
-        k = code.k
-        colmap = code._identity_columns
-        lists = self._lists
-        stale = [
-            s for s in range(1, k + 1) if s not in lists or lists[s].truncated
-        ]
-        if colmap is not None and stale:
-            found = circuit_sets(code, list(colmap.values()), self._r)
-            for sym in stale:
-                masks = (1 << (colmap[sym] - 1), *found[sym - 1])
-                lists[sym] = _StoreList(BitVector.unit(k, sym), masks, False)
-        units, _ = code.packing_bounds
+        units, _ = self._code.packing_bounds
+        sized = self._sized_lists()
         return tuple(
-            max_disjoint_packing(self._list(sym, None).masks, units[sym - 1])
-            for sym in range(1, k + 1)
+            max_disjoint_packing(sized[sym].masks, units[sym - 1])
+            for sym in range(1, self._code.k + 1)
         )
 
     def serve(self, query: Query | Iterable[int]) -> ServingPlan | None:
@@ -291,12 +221,13 @@ class QueryPlanner:
         Which plan is returned depends on how far the symbols' candidate
         lists have been enumerated: groups are placed in order of their
         current candidate counts, and a fresh list stops at the first
-        cap. So a planner warmed by `candidates`, `max_packing`,
-        `packings` or `servable_all` (which complete lists) or by
-        earlier queries may return a different valid plan than a fresh
-        one. Only the verdict is independent of that history. The lists
-        a plan is searched on are always in lexicographic order
-        (`_ordered`).
+        cap. A planner warmed by `candidates` or `max_packing` (which
+        complete lists), one whose `packings` or `servable_all` has run
+        (after which every list is enumerated complete, see `_list`), or
+        one warmed by earlier queries may return a different valid plan
+        than a fresh one. Only the verdict is independent of that
+        history. Plans are searched on the per-symbol lists, in
+        lexicographic order, never on the size-ordered ones.
         """
         q = query if isinstance(query, Query) else Query(tuple(query))
         q.check_within(self._code.k)
@@ -376,8 +307,9 @@ class QueryPlanner:
         List order cannot change a verdict: the search returns None only
         after ruling out every disjoint choice of candidates, whatever
         their order, and with complete lists no cap doubling is left to
-        try. This planner's own lists are left as they were, and `serve`
-        keeps its plans.
+        try. The sweep leaves this planner's per-symbol lists as they
+        were; a later `serve` enumerates them complete (`_list`), so it
+        returns the plans of a warm planner.
         """
         t = check_int("t", t)
         view = self._size_ordered()
@@ -434,26 +366,63 @@ class QueryPlanner:
 
     def _size_ordered(self) -> "QueryPlanner":
         """A planner for the same code and cap whose candidate lists are
-        the `by_size` views of this planner's complete lists. A list
-        read off the circuit store is in size order already and is
-        viewed as it is; any other is copied, stably sorted by size, so
-        sets of equal size stay in lexicographic order.
+        this planner's size-ordered complete lists (`_sized_lists`).
 
         The view enumerates nothing itself, and its lists, with their
-        conflict tables, are kept on this planner's records, so every
-        sweep of this planner reuses them. This planner's own lists are
+        conflict tables, are this planner's records, so every sweep of
+        this planner reuses them. This planner's per-symbol lists are
         not reordered, so its `serve` keeps its lexicographic plans.
         """
         view = QueryPlanner(self._code, self._r)
-        for sym in range(1, self._code.k + 1):
-            view._lists[sym] = self._list(sym, None).by_size
+        view._lists.update(self._sized_lists())
         return view
 
+    def _sized_lists(self) -> dict[int, _Candidates]:
+        """Every symbol's complete list, smallest sets first, filled on
+        the first call for all symbols 1..k and kept.
+
+        A symbol with a complete per-symbol list gets a copy of it,
+        stably sorted by size, so sets of equal size stay in
+        lexicographic order. When the code has every unit column, any
+        other symbol's list is read at cap r from the code's circuit
+        store over the identity columns (`recovery.circuit_sets`). The
+        store holds every circuit of the code up to its size, each
+        found once however many identity columns it holds, and is
+        shared with the repair profiles and every other planner of the
+        code; it searches only when r exceeds its size. A minimal set
+        of e_i either is the identity column sigma(i) alone or avoids
+        it, so the list is {sigma(i)} followed by e_i's sets from the
+        store, in the store's order, which is by size. Without every
+        unit column, the symbol is enumerated on its own first.
+        """
+        if self._sized:
+            return self._sized
+        code = self._code
+        k = code.k
+        colmap = code._identity_columns
+        found = None
+        sized: dict[int, _Candidates] = {}
+        for sym in range(1, k + 1):
+            known = self._lists.get(sym)
+            if colmap is not None and (known is None or known.truncated):
+                if found is None:
+                    found = circuit_sets(code, list(colmap.values()), self._r)
+                masks = (1 << (colmap[sym] - 1), *found[sym - 1])
+            else:
+                masks = tuple(sorted(self._list(sym, None).masks, key=int.bit_count))
+            sized[sym] = _Candidates(BitVector.unit(k, sym), masks, False)
+        self._sized = sized
+        return sized
+
     def _list(self, symbol: int, cap: int | None) -> _Candidates:
-        """The record of `symbol`, an integer in 1..k, enumerated anew at
-        `cap` unless the current list already serves it. A complete list
-        from `packings` comes back in the store's order; `_ordered`
-        gives the lexicographic one."""
+        """The per-symbol record of `symbol`, an integer in 1..k,
+        enumerated anew at `cap` unless the current list already serves
+        it. Once the size-ordered lists are filled, every request is
+        for the complete list, so `serve` and `candidates` after
+        `packings` or a sweep return the lists and plans of a warm
+        planner."""
+        if symbol in self._sized:
+            cap = None
         # A cut list holds exactly the cap it was enumerated at.
         known = self._lists.get(symbol)
         if known is not None and (
@@ -468,16 +437,6 @@ class QueryPlanner:
         )
         known = _Candidates(found.target, found.masks, found.truncated)
         self._lists[symbol] = known
-        return known
-
-    def _ordered(self, symbol: int) -> _Candidates:
-        """The current record of `symbol`, in lexicographic order: a list
-        read off the circuit store is sorted now and its record
-        replaced, so it is sorted once, and only when read in order."""
-        known = self._lists[symbol]
-        if type(known) is _StoreList:
-            masks = _lexicographic(known.masks, self._code.n)
-            known = self._lists[symbol] = _Candidates(known.target, masks, False)
         return known
 
     def _search(self, groups: Sequence[tuple[int, int]]) -> dict[int, list[int]] | None:
@@ -521,9 +480,9 @@ class QueryPlanner:
         order = sorted(groups, key=lambda g: (len(self._lists[g[0]]), g[0]))
         infos = []
         for sym, cnt in order:
-            if len(self._lists[sym]) < cnt:
+            cands = self._lists[sym]
+            if len(cands) < cnt:
                 return None
-            cands = self._ordered(sym)
             infos.append((cnt, cands.masks, *cands.conflicts))
         last = len(infos)
         # picks[gi]: group gi's candidate indices, appended deepest first

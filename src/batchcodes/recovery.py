@@ -103,14 +103,13 @@ class RecoveryEnumeration:
 
     `masks` are the sets' column masks (bit j-1 for column j), in the
     order of whoever built the record: lexicographic order of their
-    sorted column tuples from `enumerate_recovery_sets`; the circuit
-    store's order, which is by size, in the lists `QueryPlanner.packings`
-    reads off the store, until the planner's plans or candidates need
-    them in lexicographic order; by size in the views the planner keeps
-    with its lists for the batch sweep. `truncated` means more sets exist
-    beyond the count cap. `sets` holds the same sets as `RecoverySet`s,
-    in the same order, decoded on first read; iteration runs over
-    `sets`, and `len` counts `masks`.
+    sorted column tuples from `enumerate_recovery_sets`; by size in the
+    lists `QueryPlanner` keeps for its packings and batch sweeps, read
+    off the circuit store in the store's order or stably sorted from a
+    lexicographic list. `truncated` means more sets exist beyond the
+    count cap. `sets` holds the same sets as `RecoverySet`s, in the
+    same order, decoded on first read; iteration runs over `sets`, and
+    `len` counts `masks`.
     """
 
     target: BitVector

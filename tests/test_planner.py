@@ -564,16 +564,17 @@ class TestPackings:
         # size 4 (= k): one search per column, each avoiding the
         # columns before it, so each circuit is found once. A second
         # planner of the same code reads the store and searches nothing.
+        # `candidates` then enumerates each symbol on its own.
         calls: list = []
         monkeypatch.setattr(recovery, "minimal_set_masks", counting_searches(calls))
         code = simplex(4)
         planner = QueryPlanner(code)
         assert planner.packings() == (8, 8, 8, 8)
-        assert [len(planner.candidates(i)) for i in range(1, 5)] == [92] * 4
         assert_one_fill(calls, code, 4)
         assert QueryPlanner(code, 3).packings() == (8, 8, 8, 8)
         assert len(calls) == code.n
         assert_circuits_stored_once(code)
+        assert [len(planner.candidates(i)) for i in range(1, 5)] == [92] * 4
 
     def test_without_every_unit_column_enumerates_each_symbol(self, monkeypatch):
         code = triplicated_parity(5)
@@ -593,44 +594,54 @@ class TestPackings:
             (LinearCode(column_matrix(3, [6, 4, 0, 1, 7, 2, 1, 3])), None),
         ],
     )
-    def test_lists_sorted_once_when_read_in_order(self, code, r, monkeypatch):
-        # `packings` keeps the store's size order. `candidates` and
-        # `serve` then return the lists and plans of a planner warmed
-        # symbol by symbol, with no search of their own, and each list
-        # is sorted into lexicographic order once.
+    def test_serve_after_packings_or_sweep_matches_warm(self, code, r):
+        # `packings` and `servable_all` fill the size-ordered lists;
+        # `candidates` and `serve` then return the lists and plans of a
+        # planner warmed symbol by symbol. On simplex(4), 3,3,4,4 gets
+        # another plan from a fresh planner, whose lists are cut at 64.
         warm = QueryPlanner(code, r)
         for i in range(1, code.k + 1):
             warm.candidates(i)
-        planner = QueryPlanner(code, r)
-        planner.packings()
-        for i in range(1, code.k + 1):
-            sizes = [m.bit_count() for m in planner._list(i, None).masks]
-            assert sizes == sorted(sizes), i
-        calls: list = []
-        monkeypatch.setattr(recovery, "minimal_set_masks", counting_searches(calls))
-        sorted_lists: list = []
-        lexicographic = planner_module._lexicographic
-
-        def counting(masks, n):
-            sorted_lists.append(len(masks))
-            return lexicographic(masks, n)
-
-        monkeypatch.setattr(planner_module, "_lexicographic", counting)
+        packed = QueryPlanner(code, r)
+        packed.packings()
+        swept = QueryPlanner(code, r)
+        swept.servable_all(2)
         queries = [(1,) * 3, tuple(range(1, code.k + 1)), (1, 1, 2, 2, 3)]
-        for indices in queries:
-            assert str(planner.serve(indices)) == str(warm.serve(indices)), indices
+        if code.k >= 4:
+            queries.append((3, 3, 4, 4))
+        for planner in (packed, swept):
+            for i in range(1, code.k + 1):
+                sizes = [m.bit_count() for m in planner._sized[i].masks]
+                assert sizes == sorted(sizes), i
+            for indices in queries:
+                assert str(planner.serve(indices)) == str(warm.serve(indices)), indices
+            for i in range(1, code.k + 1):
+                assert planner.candidates(i) == warm.candidates(i), i
+
+    def test_serve_then_packings_then_serve(self):
+        # A list cut by a first `serve` is enumerated complete once
+        # `packings` has filled the size-ordered lists from the store.
+        code = simplex(4)
+        warm = QueryPlanner(code)
         for i in range(1, code.k + 1):
-            assert planner.candidates(i) == warm.candidates(i), i
-        assert calls == []
-        lengths = [len(warm.candidates(i)) for i in range(1, code.k + 1)]
-        assert sorted(sorted_lists) == sorted(lengths)
+            warm.candidates(i)
+        query = (3, 3, 4, 4)
+        planner = QueryPlanner(code)
+        fresh = planner.serve(query)
+        assert [len(planner._lists[s]) for s in (3, 4)] == [64, 64]
+        assert str(fresh) != str(warm.serve(query))
+        planner.packings()
+        assert str(planner.serve(query)) == str(warm.serve(query))
+        assert [len(planner.candidates(i)) for i in range(1, 5)] == [92] * 4
 
-    def test_profile_never_sorts_lexicographically(self, corpus, monkeypatch):
-        # `profile` packs and sweeps the store-ordered lists as they are.
-        def refuse(masks, n):
-            raise AssertionError("lexicographic order built")
+    def test_profile_enumerates_no_symbol(self, corpus, monkeypatch):
+        # On a code with every unit column, `profile` packs and sweeps
+        # the lists read off the circuit store: no symbol is enumerated
+        # on its own.
+        def refuse(*args, **kwargs):
+            raise AssertionError("symbol enumerated")
 
-        monkeypatch.setattr(planner_module, "_lexicographic", refuse)
+        monkeypatch.setattr(planner_module, "enumerate_recovery_sets", refuse)
         rng = random.Random(30)
         codes = [code for _, code in corpus if code.is_systematic]
         codes += [random_systematic(rng, k_max=7, n_max=17) for _ in range(20)]
@@ -639,7 +650,7 @@ class TestPackings:
                 profile(code, r)
         planner = QueryPlanner(simplex(3))
         planner.packings()
-        with pytest.raises(AssertionError, match="lexicographic order built"):
+        with pytest.raises(AssertionError, match="symbol enumerated"):
             planner.candidates(1)
 
 
@@ -675,21 +686,32 @@ def test_sweep_on_store_lists_matches_reference(code, r):
 @example(code=LinearCode(column_matrix(3, [6, 4, 0, 1, 7, 2, 1, 3])), r=2, queries=[])
 def test_packings_match_per_symbol_lists(code, r, queries):
     """`packings` gives each symbol the list `enumerate_recovery_sets`
-    gives it, in the same lexicographic order, and that list's packing
-    number; `serve` then returns the plans of a planner warmed symbol by
-    symbol through `candidates`."""
+    gives it and that list's packing number. After `packings`, after a
+    sweep, and after `serve` and then `packings`, `serve` and
+    `candidates` return the plans and lists of a planner warmed symbol
+    by symbol through `candidates`."""
+    k = code.k
     planner = QueryPlanner(code, r)
     warm = QueryPlanner(code, r)
     packings = planner.packings()
-    assert len(packings) == code.k
-    for i in range(1, code.k + 1):
-        want = enumerate_recovery_sets(code, BitVector.unit(code.k, i), max_size=r)
+    assert len(packings) == k
+    for i in range(1, k + 1):
+        want = enumerate_recovery_sets(code, BitVector.unit(k, i), max_size=r)
         assert warm.candidates(i) == want.sets
-        assert planner.candidates(i) == want.sets, i
         assert packings[i - 1] == max_disjoint_packing(want.masks), i
-    drawn = [[s % code.k + 1 for s in q] for q in queries]
-    for indices in drawn + [[1] * 3, list(range(1, code.k + 1))]:
-        assert str(planner.serve(indices)) == str(warm.serve(indices)), indices
+    drawn = [[s % k + 1 for s in q] for q in queries]
+    drawn += [[1] * 3, list(range(1, k + 1)), [s % k + 1 for s in (0, 0, 1, 1, 2)]]
+    swept = QueryPlanner(code, r)
+    swept.servable_all(2)
+    served = QueryPlanner(code, r)
+    for indices in drawn:
+        served.serve(indices)
+    served.packings()
+    for after in (planner, swept, served):
+        for indices in drawn:
+            assert str(after.serve(indices)) == str(warm.serve(indices)), indices
+        for i in range(1, k + 1):
+            assert after.candidates(i) == warm.candidates(i), i
 
 
 class TestDecoding:
