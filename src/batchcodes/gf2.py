@@ -337,11 +337,14 @@ class PivotBasis:
 
     `coloops` masks the columns outside the span of the others, which
     no circuit of the column matroid passes through. A zero column is a
-    circuit by itself, and a nonzero non-pivot column forms a circuit
-    with the pivots of its coordinate mask. These fundamental circuits
-    span the cycle space, and over GF(2) every cycle is a disjoint
-    union of circuits, so a column lies in some circuit exactly when it
-    lies in one of these.
+    circuit by itself, and a nonzero non-pivot column j forms a circuit
+    with the pivots of its coordinate mask, `coords[j-1] | 1 << (j-1)`.
+    These fundamental circuits, `cycles` (zero columns left out), span
+    the cycle space of the nonzero columns, and over GF(2) every cycle
+    is a disjoint union of circuits, so a column lies in some circuit
+    exactly when it lies in one of these. The recovery layer fills a
+    code's circuit store from their 2^m sums where m is small
+    (`recovery.circuit_sets`).
     """
 
     # low bit of a reduced word -> (that word, its coordinate mask)
@@ -352,12 +355,15 @@ class PivotBasis:
     by_coord: dict[int, list[int]]
     # bit j-1 set when column j is a coloop
     coloops: int
+    # the fundamental cycles as column masks, from the last column to the first
+    cycles: tuple[int, ...]
 
     @classmethod
     def from_columns(cls, words: Sequence[int]) -> "PivotBasis":
         pivots: dict[int, tuple[int, int]] = {}
         coords = [0] * len(words)
         in_circuit = 0
+        cycles = []
         for i in range(len(words) - 1, -1, -1):
             word, coord = words[i], 0
             while word:
@@ -370,13 +376,15 @@ class PivotBasis:
                 word ^= p_word
                 coord ^= p_coord
             coords[i] = coord
+            if coord and coord != 1 << i:
+                cycles.append(coord | 1 << i)
             in_circuit |= coord ^ 1 << i  # 0 for a pivot column
         by_coord: dict[int, list[int]] = {}
         for i, coord in enumerate(coords):
             if coord:
                 by_coord.setdefault(coord, []).append(i)
         coloops = ((1 << len(words)) - 1) & ~in_circuit
-        return cls(pivots, tuple(coords), by_coord, coloops)
+        return cls(pivots, tuple(coords), by_coord, coloops, tuple(cycles))
 
     def coordinates(self, word: int) -> int:
         """Coordinate mask of `word`, which must lie in the span of the
@@ -398,8 +406,9 @@ class LinearCode:
     circuits of its column matroid, `_circuits = (size, circuits)`:
     every circuit of 2 to size + 1 columns, one value, which the
     recovery layer's `circuit_sets` replaces whole when a request needs
-    a larger size, and which lives as long as the code. The generator
-    and everything derived from it never change.
+    a larger size (filled from the cycle space, the store is complete
+    at size k at once), and which lives as long as the code. The
+    generator and everything derived from it never change.
     """
 
     def __init__(self, generator: BitMatrix):

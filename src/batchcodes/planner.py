@@ -389,7 +389,7 @@ class QueryPlanner:
         store holds every circuit of the code up to its size, each
         found once however many identity columns it holds, and is
         shared with the repair profiles and every other planner of the
-        code; it searches only when r exceeds its size. A minimal set
+        code; it fills only when r exceeds its size. A minimal set
         of e_i either is the identity column sigma(i) alone or avoids
         it, so the list is {sigma(i)} followed by e_i's sets from the
         store, in the store's order, which is by size. Without every

@@ -32,8 +32,10 @@ enumerates each circuit once, however many target columns it holds,
 and which the packings below share. The store gives every symbol's
 smallest set size too: an uncapped request holds it outright, and a
 capped one is deepened until every symbol in some circuit has a set,
-which happens by size k. Each deeper size fills the store afresh,
-searching every live column again at that size.
+which happens by size k. Where the store fills from the cycle space,
+the first request fills it completely and the deepening only reads
+it; where it fills by DFS, each deeper size fills it afresh, searching
+every live column again at that size.
 
 The PIR packings and the information-symbol entries of `profile` are
 read off the query planner that serves its batch sweeps, once per

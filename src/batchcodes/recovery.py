@@ -26,10 +26,18 @@ the lowest-bit bound stays a necessary condition.
 A minimal recovery set of a column's word that avoids that column is,
 with the column, a circuit of the column matroid. Each code keeps one
 value, its size and a flat tuple of every circuit of 2 to size + 1
-columns, which `circuit_sets` replaces whole: only a request for a
-larger size searches, filling the tuple in one sweep of the columns
-in index order, and each circuit is enumerated once, from its lowest
-column. The repair profiles and the planner's complete unit-vector
+columns, which `circuit_sets` replaces whole when a request asks for a
+larger size. The circuits are the minimal supports of the nonzero
+codewords of the dual code, the cycle space, which the fundamental
+cycles of the pivot basis span (Ashikhmin and Barg, "Minimal vectors in
+linear codes", 1998). Where the cycle space is small, one walk over its
+2^m cycles fills the store completely, at size k, so no request fills
+it again: in weight order, a cycle is a circuit when no lighter circuit
+lies inside it, and each circuit marks all the cycles holding it at
+once, an AND of per-column bitsets over the cycles. Elsewhere a sweep
+of the columns in index order searches at the size asked, and each
+circuit is enumerated once, from its lowest column. Both give the same
+tuple. The repair profiles and the planner's complete unit-vector
 lists read it, in the store's size order.
 
 Sets stay column masks, as the search finds them, until a caller asks
@@ -65,7 +73,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, InvalidTargetError, check_cap, check_int
-from .gf2 import BitVector, LinearCode
+from .gf2 import BitVector, LinearCode, _reverse_bits
 
 __all__ = [
     "RecoverySet",
@@ -73,6 +81,17 @@ __all__ = [
     "enumerate_recovery_sets",
     "max_disjoint_packing",
 ]
+
+# The circuit store fills from its 2^m cycles, m the number of
+# fundamental cycles, for a request of any size when m <= _CYCLES_ANY
+# and for a request of size k when m <= _CYCLES_COMPLETE; otherwise by
+# DFS at the size asked (see `circuit_sets`). On the analyze benchmark's
+# random codes (k 4..7, m <= 10) a complete cycle fill took 0.4 to 0.6
+# of the time of a complete DFS fill; at m = 12 it won from k = 6 up
+# and lost below. From m = 8 it cost more than a DFS fill at size 2 or
+# 3, which is all a capped profile may need.
+_CYCLES_ANY = 7
+_CYCLES_COMPLETE = 12
 
 
 @dataclass(frozen=True)
@@ -268,31 +287,42 @@ def circuit_sets(
     The code's store is one value, `LinearCode._circuits = (size,
     circuits)`: `circuits` holds, once each and as column masks, every
     circuit of 2 to size + 1 columns, so it depends only on the code
-    and the size. Only a request for a larger size searches: it fills
-    the store at that size in one sweep, searching each column that
-    lies in some circuit (nonzero, not a coloop) once, in index order,
-    avoiding itself and every column searched before it, so each
-    circuit is found once, from its lowest column. The new store
-    replaces the old one only after the last search has returned, so a
-    request that a search cuts short (an interrupt, an error) leaves it
-    as it was. The store keeps its circuits stably sorted by size, so
-    every other request reads only the circuits of at most size + 1
-    columns, in one pass that deals each of them, less c, to every
-    requested column c it holds.
+    and the size. Only a request for a larger size fills it, in one of
+    two ways, chosen by m, the number of fundamental cycles
+    (`PivotBasis.cycles`), against the constants above:
+    - from the cycle space (`_cycle_circuits`), for a request of any
+      size when m <= _CYCLES_ANY and for one of size k when m <=
+      _CYCLES_COMPLETE. The store is then complete, at size k, and
+      every later request reads it;
+    - otherwise by DFS at the size asked, in one sweep that searches
+      each column lying in some circuit (nonzero, not a coloop) once,
+      in index order, avoiding itself and every column searched before
+      it, so each circuit is found once, from its lowest column.
+    Both fills give the same tuple at size k: the circuits by size, and
+    at equal size in lexicographic order of their sorted column tuples.
+    The new store replaces the old one only after the fill has
+    returned, so a request that a fill cuts short (an interrupt, an
+    error) leaves it as it was. As the store is sorted by size, every
+    other request reads only the circuits of at most size + 1 columns,
+    in one pass that deals each of them, less c, to every requested
+    column c it holds.
     """
     size = code.k if size is None else min(size, code.k)
     stored, circuits = code._circuits
     if size > stored:
-        found, skip = [], 0
-        coloops = code.pivot_basis.coloops
-        for i, word in enumerate(code.column_words):
-            bit = 1 << i
-            if word and not coloops & bit:
-                skip |= bit
-                masks, _ = minimal_set_masks(code, word, skip, size)
-                found += [m | bit for m in masks]
-        circuits = tuple(sorted(found, key=int.bit_count))
-        code._circuits = size, circuits
+        basis = code.pivot_basis
+        if len(basis.cycles) <= (_CYCLES_COMPLETE if size == code.k else _CYCLES_ANY):
+            stored, circuits = code.k, _cycle_circuits(code.n, code.k, basis.cycles)
+        else:
+            found, skip = [], 0
+            for i, word in enumerate(code.column_words):
+                bit = 1 << i
+                if word and not basis.coloops & bit:
+                    skip |= bit
+                    masks, _ = minimal_set_masks(code, word, skip, size)
+                    found += [m | bit for m in masks]
+            stored, circuits = size, tuple(sorted(found, key=int.bit_count))
+        code._circuits = stored, circuits
     lists = {1 << (c - 1): [] for c in columns}
     wanted = sum(lists)
     for m in circuits:
@@ -304,6 +334,62 @@ def circuit_sets(
             lists[low].append(m ^ low)
             hit ^= low
     return [lists[1 << (c - 1)] for c in columns]
+
+
+def _cycle_circuits(n: int, k: int, cycles: Sequence[int]) -> tuple[int, ...]:
+    """Every circuit of 2 to k + 1 columns of a matroid on n columns of
+    rank k, whose cycle space the column masks `cycles` span (its
+    fundamental cycles), by size and at equal size in lexicographic
+    order of their sorted column tuples.
+
+    The table of the 2^m cycles doubles once per fundamental cycle, and
+    `has[c]`, the bitset of the table indices of the cycles holding
+    column c, doubles with it: one shift and XOR per column. The cycles
+    of at most k + 1 columns, the most a circuit has, are visited in
+    the order above; at equal weight that is the descending order of
+    the masks reversed over n bits, since the first column where two
+    tuples differ is the highest bit where their reversed masks do.
+    Over GF(2) a cycle that is not a circuit is a disjoint union of
+    lighter circuits, and no circuit lies inside another of its own
+    weight, so a cycle is a circuit exactly when it is not yet marked.
+    Each circuit marks at once every cycle holding it, the AND of `has`
+    over its columns.
+    """
+    table, reversed_table = [0], [0]
+    has = [0] * n
+    for cycle in cycles:
+        half = len(table)
+        table += [c ^ cycle for c in table]
+        flipped = _reverse_bits(cycle, n)
+        reversed_table += [c ^ flipped for c in reversed_table]
+        flip = (1 << half) - 1
+        for c in range(n):
+            h = has[c]
+            has[c] = h | (h ^ flip if cycle >> c & 1 else h) << half
+    # Weight first, then the reversed mask descending. A nonzero cycle's
+    # reversed mask lies in 1..2^n - 1, so its key is at most
+    # (k + 1) << n exactly when it has at most k + 1 columns.
+    keys = [(c.bit_count() << n) - r for c, r in zip(table, reversed_table)]
+    top = (k + 1) << n
+    order = sorted((i for i in range(1, len(table)) if keys[i] <= top), key=keys.__getitem__)
+    # The heaviest cycles visited need not mark: none after them is heavier.
+    heaviest = table[order[-1]].bit_count() if order else 0
+    dead = 0
+    circuits = []
+    for i in order:
+        if dead >> i & 1:
+            continue
+        circuit = table[i]
+        circuits.append(circuit)
+        if circuit.bit_count() == heaviest:
+            continue
+        sup = -1
+        while circuit:
+            low = circuit & -circuit
+            sup &= has[low.bit_length() - 1]
+            circuit ^= low
+        dead |= sup
+    return tuple(circuits)
 
 
 def _touch(masks: Sequence[int]) -> list[int]:

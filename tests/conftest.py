@@ -1,13 +1,15 @@
 """Shared fixtures: a wall-clock limit on every test, the hypothesis
 settings profiles, the named-code corpus, a random code generator,
-hypothesis strategies for small generator matrices, a counting
-stand-in for the recovery-set search, and checks of a code's circuit
-store."""
+hypothesis strategies for small generator matrices and for codes like
+the analyze benchmark's, counting stand-ins for the recovery-set search
+and the cycle fill, a switch between the circuit store's two fills,
+and checks of a code's circuit store."""
 
 from __future__ import annotations
 
 import random
 import signal
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, settings
@@ -178,6 +180,38 @@ def systematic_codes(draw, k_max: int = 4, n_max: int = 10):
     )
     columns = draw(st.permutations([1 << i for i in range(k)] + extra))
     return LinearCode(column_matrix(k, columns))
+
+
+@st.composite
+def analyze_codes(draw):
+    """Codes like the analyze benchmark's random ones: every unit column,
+    k from 4 to 7 and n <= 2k + 3, the unit columns at random positions
+    among others that may be zero or repeat any column."""
+    k = draw(st.integers(4, 7))
+    extra = draw(st.lists(st.integers(0, (1 << k) - 1), max_size=k + 3))
+    columns = draw(st.permutations([1 << i for i in range(k)] + extra))
+    return LinearCode(column_matrix(k, columns))
+
+
+def fill_by(path: str):
+    """Context manager, or test decorator, under which every circuit
+    store fills by `path`: "dfs" for the per-column searches at the
+    size asked, "cycles" for the cycle space at size k (on codes with at
+    most 2^16 cycles)."""
+    limit = {"dfs": -1, "cycles": 16}[path]
+    return patch.multiple(recovery, _CYCLES_ANY=limit, _CYCLES_COMPLETE=limit)
+
+
+def counting_cycle_fills(calls: list):
+    """Stand-in for `recovery._cycle_circuits` that records, per call,
+    the number of fundamental cycles it was given."""
+    real = recovery._cycle_circuits
+
+    def counting(n, k, cycles):
+        calls.append(len(cycles))
+        return real(n, k, cycles)
+
+    return counting
 
 
 def counting_searches(calls: list):

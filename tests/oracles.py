@@ -15,8 +15,11 @@ profiler's locality and availability from the brute-force minimal sets
 and packing alone. `brute_circuits` finds the circuits of the column
 matroid as the minimal zero-sum column sets of the subset-sum table.
 `reference_servable_all` sweeps every query, with no
-symmetry reduction. `reference_min_length` is the optimal-length
-sweep with no distance filter and no skipped candidates.
+symmetry reduction. `reference_batch_t` does the same at every t from
+the library's minimal recovery sets, each query an exact cover on
+Python sets, for codes past the subset-sum table's reach.
+`reference_min_length` is the optimal-length sweep with no distance
+filter and no skipped candidates.
 """
 
 from __future__ import annotations
@@ -25,7 +28,13 @@ from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 from typing import Sequence
 
-from batchcodes import BitVector, LinearCode, RecoverySet, ServingPlan
+from batchcodes import (
+    BitVector,
+    LinearCode,
+    RecoverySet,
+    ServingPlan,
+    enumerate_recovery_sets,
+)
 
 
 def subset_sum_table(code: LinearCode) -> list[int]:
@@ -160,6 +169,67 @@ def reference_servable_all(
         if not brute_plan_exists(code, combo, r, sums):
             return False, combo
     return True, None
+
+
+def reference_batch_t(code: LinearCode, r: int | None = None) -> int:
+    """batch_t at cap r: the largest t for which every multiset query of
+    t symbols is servable. Every query of each size is tried, in turn,
+    with no symbol orbits, no plan reused between queries and no floor.
+    Each symbol's sets are its minimal recovery sets from
+    `enumerate_recovery_sets` at the cap, as Python sets, and each
+    query is decided by `_exact_cover`."""
+    k = code.k
+    lists = [
+        [
+            frozenset(s.columns)
+            for s in enumerate_recovery_sets(code, BitVector.unit(k, i), max_size=r)
+        ]
+        for i in range(1, k + 1)
+    ]
+    t = 0
+    while all(
+        _exact_cover(dict(Counter(q)), lists)
+        for q in combinations_with_replacement(range(k), t + 1)
+    ):
+        t += 1
+    return t
+
+
+def _exact_cover(
+    need: dict[int, int],
+    lists: list[list[frozenset[int]]],
+    used: frozenset[int] = frozenset(),
+    first: dict[int, int] | None = None,
+) -> bool:
+    """Whether each symbol i can take need[i] sets of lists[i], all
+    pairwise disjoint and missing `used`: an exact cover with the query
+    positions as primary items and the columns as secondary ones, each
+    taken at most once (Knuth, "Dancing links", Algorithm X), by plain
+    recursion. It branches on the symbol with the fewest sets that
+    still fit. Copies of a symbol are interchangeable, so they take
+    their sets in list order, from first[i] on."""
+    if not need:
+        return True
+    first = first or {}
+    best = None
+    for sym in need:
+        options = lists[sym]
+        fits = [
+            at
+            for at in range(first.get(sym, 0), len(options))
+            if used.isdisjoint(options[at])
+        ]
+        if best is None or len(fits) < len(best[1]):
+            best = sym, fits
+    sym, fits = best
+    rest = dict(need)
+    rest[sym] -= 1
+    if not rest[sym]:
+        del rest[sym]
+    return any(
+        _exact_cover(rest, lists, used | lists[sym][at], {**first, sym: at + 1})
+        for at in fits
+    )
 
 
 def reference_min_length(

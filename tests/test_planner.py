@@ -38,7 +38,9 @@ from conftest import (
     assert_circuits_stored_once,
     assert_one_fill,
     column_matrix,
+    counting_cycle_fills,
     counting_searches,
+    fill_by,
     random_systematic,
     small_codes,
     symmetric_codes,
@@ -558,13 +560,15 @@ class TestPackings:
     """`packings` fills every complete list from the code's circuit
     store when the code has every unit column."""
 
+    @fill_by("dfs")
     def test_enumerates_each_circuit_once(self, monkeypatch):
         # The four lists of simplex(4) hold 91 sets each besides the
-        # identity column. They come from one fill of the store at
-        # size 4 (= k): one search per column, each avoiding the
-        # columns before it, so each circuit is found once. A second
-        # planner of the same code reads the store and searches nothing.
-        # `candidates` then enumerates each symbol on its own.
+        # identity column. On the DFS fill they come from one fill of
+        # the store at size 4 (= k): one search per column, each
+        # avoiding the columns before it, so each circuit is found
+        # once. A second planner of the same code reads the store and
+        # searches nothing. `candidates` then enumerates each symbol on
+        # its own.
         calls: list = []
         monkeypatch.setattr(recovery, "minimal_set_masks", counting_searches(calls))
         code = simplex(4)
@@ -575,6 +579,21 @@ class TestPackings:
         assert len(calls) == code.n
         assert_circuits_stored_once(code)
         assert [len(planner.candidates(i)) for i in range(1, 5)] == [92] * 4
+
+    @fill_by("cycles")
+    def test_fills_the_store_once_from_cycles(self, monkeypatch):
+        # On the cycle fill, the same lists come from one walk of the
+        # 2^11 cycles of simplex(4), with no search; a capped planner
+        # of the same code reads the store.
+        calls: list = []
+        fills: list = []
+        monkeypatch.setattr(recovery, "minimal_set_masks", counting_searches(calls))
+        monkeypatch.setattr(recovery, "_cycle_circuits", counting_cycle_fills(fills))
+        code = simplex(4)
+        assert QueryPlanner(code).packings() == (8, 8, 8, 8)
+        assert QueryPlanner(code, 3).packings() == (8, 8, 8, 8)
+        assert fills == [11] and calls == []
+        assert_circuits_stored_once(code)
 
     def test_without_every_unit_column_enumerates_each_symbol(self, monkeypatch):
         code = triplicated_parity(5)

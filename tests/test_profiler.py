@@ -38,10 +38,13 @@ from batchcodes import (
 )
 from batchcodes.gf2 import PivotBasis
 from conftest import (
+    analyze_codes,
     assert_circuits_stored_once,
     assert_one_fill,
     column_matrix,
+    counting_cycle_fills,
     counting_searches,
+    fill_by,
     live_columns,
     random_systematic,
     small_codes,
@@ -51,6 +54,7 @@ from conftest import (
 from oracles import (
     brute_max_packing,
     brute_minimal_recovery_sets,
+    reference_batch_t,
     reference_lrc_profile,
     reference_servable_all,
     subset_sum_table,
@@ -456,17 +460,6 @@ def enumerated_lrc_profile(code: LinearCode, targets, cap: int | None) -> tuple:
     return cap, locality, min(packings, default=0), tuple(symbols)
 
 
-@st.composite
-def analyze_codes(draw):
-    """Codes like the analyze benchmark's random ones: every unit column,
-    k from 4 to 7 and n <= 2k + 3, the unit columns at random positions
-    among others that may be zero or repeat any column."""
-    k = draw(st.integers(4, 7))
-    extra = draw(st.lists(st.integers(0, (1 << k) - 1), max_size=k + 3))
-    columns = draw(st.permutations([1 << i for i in range(k)] + extra))
-    return _code(k, columns)
-
-
 @settings(max_examples=200)
 @given(code=analyze_codes(), r=st.sampled_from([None, 2, 3]))
 # Unit column e_1 twice, so that e_1 has two recovery sets of size 1.
@@ -487,15 +480,33 @@ def test_profile_matches_enumerated_reference(code, r):
     assert _as_tuple(prof.info_symbol) == info
 
 
+@settings(max_examples=200)
+@given(
+    code=st.one_of(analyze_codes(), small_codes(k_max=7, n_max=17)),
+    r=st.sampled_from([None, 2, 3]),
+)
+# Without every unit column, pir_t = 3 and batch_t = 2: the first query
+# the sweep cannot serve greedily is unservable.
+@example(code=_code(6, [47, 51, 39, 59, 43, 21, 3, 18, 32, 28, 17]), r=None)
+def test_batch_t_matches_exact_cover_reference(code, r):
+    """`profile`'s batch_t, from sweeps over orbits of symbols that
+    extend the previous query's plan, on lists read off the circuit
+    store, above the proven floor, equals a sweep of every query by
+    plain exact cover over per-symbol enumerations, at sizes past the
+    brute-force oracles' reach."""
+    assert profile(code, r).batch_t == reference_batch_t(code, r)
+
+
 @pytest.mark.parametrize(
     "code",
     # Column 1 of the first code and column 8 of the second are coloops.
     [_code(2, [1, 2, 2]), _code(4, [1, 2, 3, 4, 5, 6, 7, 8]), simplex(3)],
     ids=["coloop", "simplex3+coloop", "simplex3"],
 )
+@fill_by("dfs")
 def test_unbounded_cap_sweeps_once(code, monkeypatch):
-    """An unbounded cap fills the store once at size k, with no
-    deepening first, and asking again searches nothing."""
+    """On the DFS fill, an unbounded cap fills the store once at size k,
+    with no deepening first, and asking again searches nothing."""
     calls: list = []
     monkeypatch.setattr(recovery, "minimal_set_masks", counting_searches(calls))
     if code.pivot_basis.coloops:
@@ -509,8 +520,12 @@ def test_unbounded_cap_sweeps_once(code, monkeypatch):
     assert_one_fill(calls, code, code.k)
 
 
+INVARIANT = "a nonzero column that is not a coloop lies in a circuit"
+
+
+@fill_by("dfs")
 def test_deepening_stops_at_k(monkeypatch):
-    """A search that finds no circuit through a column outside every
+    """A DFS fill that finds no circuit through a column outside every
     coloop is a broken invariant: the deepening stops at size k and
     says so, where it used to loop for ever."""
     sizes: list = []
@@ -520,10 +535,55 @@ def test_deepening_stops_at_k(monkeypatch):
         return [], False
 
     monkeypatch.setattr(recovery, "minimal_set_masks", find_nothing)
-    invariant = "a nonzero column that is not a coloop lies in a circuit"
-    with pytest.raises(RuntimeError, match=invariant):
+    with pytest.raises(RuntimeError, match=INVARIANT):
         lrc_profile(simplex(3))
     assert max(sizes) == 3
+
+
+@fill_by("cycles")
+def test_empty_cycle_fill_is_a_broken_invariant(monkeypatch):
+    """A cycle fill that finds no circuit is stored at size k, so the
+    profile reads it once, refills nothing, and says the invariant is
+    broken."""
+    fills: list = []
+
+    def find_nothing(n, k, cycles):
+        fills.append(len(cycles))
+        return ()
+
+    calls: list = []
+    monkeypatch.setattr(recovery, "_cycle_circuits", find_nothing)
+    monkeypatch.setattr(recovery, "minimal_set_masks", counting_searches(calls))
+    code = simplex(3)
+    with pytest.raises(RuntimeError, match=INVARIANT):
+        lrc_profile(code)
+    assert fills == [4] and calls == []
+    assert code._circuits == (3, ())
+
+
+@pytest.mark.parametrize(
+    "code",
+    [_code(2, [1, 2, 2]), _code(4, [1, 2, 3, 4, 5, 6, 7, 8]), simplex(3), simplex(4)],
+    ids=["coloop", "simplex3+coloop", "simplex3", "simplex4"],
+)
+@fill_by("cycles")
+def test_one_cycle_fill_serves_every_request(code, monkeypatch):
+    """On the cycle fill, the first request, of any size, fills the
+    store once at size k from the code's fundamental cycles, and no
+    profile, planner or cap searches or fills again."""
+    fills: list = []
+    calls: list = []
+    monkeypatch.setattr(recovery, "_cycle_circuits", counting_cycle_fills(fills))
+    monkeypatch.setattr(recovery, "minimal_set_masks", counting_searches(calls))
+    lrc_profile(code, 1)
+    assert fills == [len(code.pivot_basis.cycles)]
+    assert code._circuits[0] == code.k
+    for r in (None, 1, 2, 3):
+        profile(code, r)
+        lrc_profile(code, r)
+        info_lrc_profile(code, r, include_self=False)
+    assert len(fills) == 1 and calls == []
+    assert_circuits_stored_once(code)
 
 
 @settings(max_examples=60)

@@ -27,10 +27,13 @@ from batchcodes import (
 )
 from conftest import (
     K8_COLUMNS,
+    analyze_codes,
     assert_circuits_stored_once,
     assert_one_fill,
     column_matrix,
+    counting_cycle_fills,
     counting_searches,
+    fill_by,
     live_columns,
     random_systematic,
     small_codes,
@@ -423,10 +426,8 @@ def store_requests(draw):
     return code, [(draw(columns), cap, draw(st.integers(0, code.n))) for cap in caps]
 
 
-def failing_searches(fail_at: int):
-    """Stand-in for `recovery.minimal_set_masks` whose fail_at-th call
-    raises."""
-    real = recovery.minimal_set_masks
+def failing_calls(real, fail_at: int):
+    """Stand-in for the function `real` whose fail_at-th call raises."""
     calls: list = []
 
     def failing(*args):
@@ -436,6 +437,12 @@ def failing_searches(fail_at: int):
         return real(*args)
 
     return failing
+
+
+def failing_searches(fail_at: int):
+    """Stand-in for `recovery.minimal_set_masks` whose fail_at-th call
+    raises."""
+    return failing_calls(recovery.minimal_set_masks, fail_at)
 
 
 def assert_brute_answers(code, columns, cap, found, sums):
@@ -456,15 +463,17 @@ def assert_brute_answers(code, columns, cap, found, sums):
 @example(case=(_code(2, [3, 1, 2, 1]), [([2, 4], 1, 0), ([1, 2, 3, 4], 2, 2)]))
 @example(case=(_code(2, [1, 0, 2, 3]), [([4, 1, 2], 2, 1), ([3], 1, 0), ([1, 3, 4, 2], None, 3)]))
 @example(case=(_code(3, [1, 2, 3, 4]), [([1, 2, 3, 4], None, 2), ([4, 2], 1, 0)]))
+@fill_by("dfs")
 def test_circuit_store_lists_each_circuit_once(case):
-    """The coloops are the columns whose deletion drops the rank. Whatever
-    the order of the requests and their caps, each answer is the
-    brute-force one; only a request above the store's size searches, and
-    it fills the store with one search per live column, in index order;
-    a fill cut short leaves the store as it was; and the store then
-    holds, once each, exactly the brute-force circuits of 2 to size + 1
-    columns for the largest size asked, so the same requests in the
-    reverse order leave the same store."""
+    """On the DFS fill: the coloops are the columns whose deletion
+    drops the rank. Whatever the order of the requests and their caps,
+    each answer is the brute-force one; only a request above the
+    store's size searches, and it fills the store with one search per
+    live column, in index order; a fill cut short leaves the store as
+    it was; and the store then holds, once each, exactly the
+    brute-force circuits of 2 to size + 1 columns for the largest size
+    asked, so the same requests in the reverse order leave the same
+    store."""
     code, requests = case
     sums = subset_sum_table(code)
     coloops = code.pivot_basis.coloops
@@ -499,12 +508,50 @@ def test_circuit_store_lists_each_circuit_once(case):
     assert reordered._circuits == code._circuits
 
 
+@settings(max_examples=100)
+@given(case=store_requests())
+# A walk of the 5 fundamental cycles cut short at the third, then
+# requests at every cap.
+@example(case=(_code(3, [1, 2, 3, 4, 5, 6, 7, 3]), [([3, 1, 4, 8], 1, 3), ([2], 3, 0), ([1, 5], None, 0)]))
+# No cycle: the store is empty at size k.
+@example(case=(_code(3, [1, 0, 2, 4, 0]), [([1, 2, 3], 2, 1), ([5], None, 0)]))
+@fill_by("cycles")
+def test_cycle_filled_store_lists_each_circuit_once(case):
+    """On the cycle fill, the first request, whatever its cap, fills the
+    store at size k in one walk of the cycle space, and no later
+    request fills or searches again; a walk cut short leaves the store
+    as it was; each answer is the brute-force one; and the store holds,
+    once each, exactly the brute-force circuits of 2 to k + 1 columns."""
+    code, requests = case
+    sums = subset_sum_table(code)
+    m = len(code.pivot_basis.cycles)
+    _, first_cap, fail_at = requests[0]
+    if 1 <= fail_at <= m:
+        # The walk reverses each fundamental cycle once as it doubles the table.
+        failing = failing_calls(recovery._reverse_bits, fail_at)
+        with patch.object(recovery, "_reverse_bits", failing):
+            with pytest.raises(RuntimeError, match="search cut short"):
+                recovery.circuit_sets(code, requests[0][0], first_cap)
+        assert code._circuits == (0, ())
+    for step, (columns, cap, _) in enumerate(requests):
+        fills: list = []
+        calls: list = []
+        with patch.object(recovery, "_cycle_circuits", counting_cycle_fills(fills)):
+            with patch.object(recovery, "minimal_set_masks", counting_searches(calls)):
+                found = recovery.circuit_sets(code, columns, cap)
+        assert fills == ([m] if step == 0 else []) and calls == []
+        assert code._circuits[0] == code.k
+        assert_brute_answers(code, columns, cap, found, sums)
+    assert_circuits_stored_once(code)
+
+
 @pytest.mark.parametrize("fail_at", range(1, 9))
+@fill_by("dfs")
 def test_interrupted_request_leaves_the_store_as_it_was(fail_at):
-    """A search that raises partway through a fill (here the fail_at-th
-    of its 8: every column of the code lies in some circuit) leaves the
-    code's store as it was, so the same request with the real search,
-    and every later one, returns the brute-force lists."""
+    """A search that raises partway through a DFS fill (here the
+    fail_at-th of its 8: every column of the code lies in some circuit)
+    leaves the code's store as it was, so the same request with the
+    real search, and every later one, returns the brute-force lists."""
     code = _code(3, [1, 2, 3, 4, 5, 6, 7, 3])
     recovery.circuit_sets(code, [1, 2], 1)
     before = code._circuits
@@ -517,3 +564,97 @@ def test_interrupted_request_leaves_the_store_as_it_was(fail_at):
         found = recovery.circuit_sets(code, columns, cap)
         assert_brute_answers(code, columns, cap, found, sums)
     assert_circuits_stored_once(code)
+
+
+def _repeats(m: int) -> LinearCode:
+    """k = 4 with every unit column and m more copies of the all-ones
+    column: m fundamental cycles."""
+    return _code(4, [1, 2, 4, 8] + [15] * m)
+
+
+# simplex(4) and one more all-ones column: 12 fundamental cycles.
+SIMPLEX4_PLUS = _code(4, list(range(1, 16)) + [15])
+
+
+@settings(max_examples=150)
+@given(code=st.one_of(analyze_codes(), small_codes()))
+@example(code=_code(3, [1, 0, 2, 4, 0]))  # m = 0: an empty store
+@example(code=SIMPLEX4_PLUS)  # m = 12, the limit for a request of size k
+@example(code=_code(2, [1, 2, 1, 3, 0, 3]))  # a zero column and repeats
+def test_cycle_fill_matches_dfs_fill(code):
+    """The walk of the cycle space and the per-column searches, each
+    asked for every size, store the same tuple: the same circuits in
+    the same order, by size and then lexicographic. Past n = 10 each is
+    the other's oracle."""
+    stores = []
+    for path in ("cycles", "dfs"):
+        fresh = LinearCode(code.generator)
+        with fill_by(path):
+            recovery.circuit_sets(fresh, [1], None)
+        stores.append(fresh._circuits)
+    assert stores[0] == stores[1]
+
+
+@pytest.mark.parametrize(
+    "code, size, path",
+    [
+        (_repeats(recovery._CYCLES_ANY), 1, "cycles"),
+        (_repeats(recovery._CYCLES_ANY + 1), 3, "dfs"),
+        (_repeats(recovery._CYCLES_ANY + 1), None, "cycles"),
+        (_repeats(recovery._CYCLES_COMPLETE), 4, "cycles"),
+        (_repeats(recovery._CYCLES_COMPLETE + 1), None, "dfs"),
+        (simplex(5), None, "dfs"),  # 26 fundamental cycles
+    ],
+    ids=["any", "any+1", "complete", "complete-limit", "complete+1", "simplex5"],
+)
+def test_fill_choice(code, size, path, monkeypatch):
+    """The store fills from the cycle space for a request of any size
+    up to _CYCLES_ANY fundamental cycles and for a request of size k up
+    to _CYCLES_COMPLETE; otherwise by one search per live column at the
+    size asked."""
+    fills: list = []
+    calls: list = []
+    monkeypatch.setattr(recovery, "_cycle_circuits", counting_cycle_fills(fills))
+    monkeypatch.setattr(recovery, "minimal_set_masks", counting_searches(calls))
+    recovery.circuit_sets(code, [1], size)
+    if path == "cycles":
+        assert fills == [len(code.pivot_basis.cycles)] and calls == []
+        assert code._circuits[0] == code.k
+    else:
+        assert fills == []
+        assert_one_fill(calls, code, code.k if size is None else size)
+
+
+@st.composite
+def relabelings(draw):
+    """A code with k <= 7, an invertible row transform as a list of row
+    additions, and a column permutation."""
+    code = draw(st.one_of(analyze_codes(), small_codes()))
+    rows = st.integers(0, code.k - 1)
+    additions = draw(st.lists(st.tuples(rows, rows), max_size=12))
+    return code, additions, draw(st.permutations(range(code.n)))
+
+
+@settings(max_examples=60)
+@given(case=relabelings(), path=st.sampled_from(["cycles", "dfs"]))
+def test_store_follows_row_operations_and_column_permutations(case, path):
+    """An invertible row transform keeps the column matroid, so it
+    leaves the circuit store unchanged; a column permutation maps each
+    stored circuit by that permutation."""
+    code, additions, perm = case
+    rows = list(code.generator.row_words)
+    for i, j in additions:
+        if i != j:
+            rows[i] ^= rows[j]
+    transformed = LinearCode(BitMatrix(code.n, tuple(rows)))
+    words = code.column_words
+    permuted = _code(code.k, [words[perm[j]] for j in range(code.n)])
+    with fill_by(path):
+        for c in (code, transformed, permuted):
+            recovery.circuit_sets(c, [1], None)
+    assert transformed._circuits == code._circuits
+    moved = {
+        sum(1 << j for j in range(code.n) if m >> perm[j] & 1)
+        for m in code._circuits[1]
+    }
+    assert set(permuted._circuits[1]) == moved
